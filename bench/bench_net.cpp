@@ -39,9 +39,7 @@ struct NetFixture {
   std::vector<std::vector<std::string>> labels;  ///< honest, per graph
 
   NetFixture() {
-    net::WireServerOptions opts;
-    opts.service.numaAware = false;
-    server = std::make_unique<net::WireServer>(opts);
+    server = std::make_unique<net::WireServer>();
     server->start();
     Rng rng(42);
     for (int i = 0; i < 4; ++i) {

@@ -74,8 +74,7 @@ BENCHMARK(BM_ProverThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void BM_ProverHead(benchmark::State& state) {
   // The prover's serial head in isolation: interval representation (given)
   // -> lane plan -> construction sequence -> hierarchy, plus the Prop 2.2
-  // pointer BFS.  This was the Amdahl limit once the waves scaled; the
-  // pipelined prover overlaps it with wave execution, and
+  // pointer BFS.  This was the Amdahl limit once the waves scaled;
   // BENCH_prover_head.json archives the single-thread head cost itself
   // (epoch-stamped plan-builder lookups, O(subtree) T-node wraps, deferred
   // terminal materialization).

@@ -35,9 +35,7 @@
 using namespace lanecert;
 
 int main() {
-  net::WireServerOptions opts;
-  opts.service.numaAware = false;
-  net::WireServer server(opts);
+  net::WireServer server;
   server.start();
   std::printf("server on 127.0.0.1:%u\n\n", unsigned(server.port()));
 

@@ -37,12 +37,11 @@
 #      (plan loaded from a persisted snapshot, snapshot_tool --require-hit)
 #      produced different certificate bytes than a cold prove of the same
 #      graph, or the warm path failed to actually hit the snapshot
-#  11  dist smoke failure (--ci only): the multi-process verifier diverged
-#      from the single-process session (dist_verify byte-compares them
-#      internally), or the worker-kill drill failed to recover
-#      (scripts/dist_smoke.sh)
-#  12  architecture doc drift: docs/ARCHITECTURE.md is missing or does not
+#  11  (retired: was the multi-process verification smoke; the number is
+#      not reused)
+#  12  architecture doc drift: docs/ARCHITECTURE.md is missing, does not
 #      mention some src/ subdirectory — every subsystem must have a chapter
+#      — or names a src/<dir> that does not exist
 set -uo pipefail
 
 # Run from the repository root regardless of the caller's cwd (works when
@@ -100,10 +99,11 @@ else
   ci_report clang-format skip 3
 fi
 
-# --- Lint class 3: the architecture book must cover every layer.  Each
-# src/ subdirectory is a subsystem; adding one without giving it a chapter
-# in docs/ARCHITECTURE.md fails here, so the map can never silently rot
-# behind the territory.
+# --- Lint class 3: the architecture book and src/ must match in both
+# directions.  Each src/ subdirectory is a subsystem; adding one without
+# giving it a chapter in docs/ARCHITECTURE.md fails here, and so does a
+# chapter (or any other mention) naming a src/<dir> that no longer exists,
+# so the map can never silently rot behind the territory.
 if [ -f docs/ARCHITECTURE.md ]; then
   arch_missing=""
   for d in src/*/; do
@@ -114,6 +114,18 @@ if [ -f docs/ARCHITECTURE.md ]; then
   done
   if [ -n "${arch_missing}" ]; then
     fail architecture-doc 12 "docs/ARCHITECTURE.md never mentions:${arch_missing}"
+  fi
+  # Mentions of a top-level src/<dir> (not a path that merely ends in
+  # src/, like perfbench/src/) must name a directory that exists.
+  arch_stale=""
+  for named in $(grep -oE '(^|[^A-Za-z0-9_./-])src/[A-Za-z0-9_]+' docs/ARCHITECTURE.md |
+                 sed -E 's#^.*(src/[A-Za-z0-9_]+)$#\1#' | sort -u); do
+    if [ ! -d "${named}" ]; then
+      arch_stale="${arch_stale} ${named}"
+    fi
+  done
+  if [ -n "${arch_stale}" ]; then
+    fail architecture-doc 12 "docs/ARCHITECTURE.md names missing directories:${arch_stale}"
   fi
   ci_report architecture-doc ok 12
 else
@@ -309,27 +321,6 @@ if [ "${CI_MODE}" -eq 1 ]; then
   fi
 else
   ci_report snapshot-roundtrip skip 10
-fi
-
-# --- Distributed verification smoke (--ci only): coordinator + forked
-# workers over a 65536-vertex workload, byte-compared against the
-# single-process session inside dist_verify itself, then the same workload
-# with a worker armed to SIGKILL itself mid-sweep — recovery (re-fork +
-# journal replay) must leave the results byte-identical.
-# scripts/dist_smoke.sh is the single implementation; the CI dist-smoke
-# job calls the same script.
-if [ "${CI_MODE}" -eq 1 ]; then
-  if [ -x build/dist_verify ]; then
-    if ! bash scripts/dist_smoke.sh build 65536 4; then
-      fail dist-smoke 11 "dist verification smoke (scripts/dist_smoke.sh)"
-    fi
-    ci_report dist-smoke ok 11
-  else
-    echo "verify.sh: build/dist_verify missing; skipping dist smoke"
-    ci_report dist-smoke skip 11
-  fi
-else
-  ci_report dist-smoke skip 11
 fi
 
 echo "verify.sh: OK"

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "runtime/executor.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace lanecert {
 
@@ -135,31 +134,19 @@ namespace {
 /// set, tree links, and vertex payload, but defers the TerminalMap
 /// materialization to a bottom-up post-pass (`materializeTerminals`) that
 /// runs level-by-level — serially, or sharded through a ParallelExecutor.
-/// Deferring keeps the replay loop lean and lets a streaming consumer
-/// (the prover's hom-state waves read none of the terminals) start on a
-/// node the moment its structure is final.
+/// Deferring keeps the replay loop lean.
 class HierarchyBuilder {
  public:
-  HierarchyBuilder(const ConstructionSequence& seq, StageFeed<HierNode>* feed,
-                   ParallelExecutor* exec)
-      : seq_(seq), feed_(feed), exec_(exec) {}
+  HierarchyBuilder(const ConstructionSequence& seq, ParallelExecutor* exec)
+      : seq_(seq), exec_(exec) {}
 
   HierarchyResult run();
 
  private:
   int newNode(HierNode n) {
-    // A streaming consumer reads nodes_ concurrently, so the buffer must
-    // never reallocate; run() reserves the worst-case node count up front.
-    if (feed_ != nullptr && nodes_.size() == nodes_.capacity()) {
-      throw std::logic_error("HierarchyBuilder: node bound exceeded");
-    }
     nodes_.push_back(std::move(n));
     tOutDesig_.emplace_back();
     return static_cast<int>(nodes_.size()) - 1;
-  }
-
-  void publishNodes() {
-    if (feed_ != nullptr) feed_->publish(nodes_.size());
   }
 
   /// Walk-up LCA in the current working tree.
@@ -228,7 +215,6 @@ class HierarchyBuilder {
   void fillTerminals(int id);
 
   const ConstructionSequence& seq_;
-  StageFeed<HierNode>* feed_;
   ParallelExecutor* exec_;
   std::vector<HierNode> nodes_;
   /// Per T-node: designated vertex of each of its lanes AT WRAP TIME
@@ -389,7 +375,7 @@ HierarchyResult HierarchyBuilder::run() {
 
   // Worst-case node count: the initial P, at most three nodes per E-insert
   // (two parts + the B), one per V-insert, and the final T.  Reserving it
-  // keeps the node array address-stable, which the streaming feed requires.
+  // spares the replay every reallocation of the node array.
   std::size_t maxNodes = 2;
   for (const ConstructionOp& op : seq_.ops) {
     maxNodes += op.kind == ConstructionOp::Kind::kVInsert ? 1 : 3;
@@ -408,10 +394,6 @@ HierarchyResult HierarchyBuilder::run() {
   inTree_[static_cast<std::size_t>(pNode)] = 1;
   for (std::size_t i = 0; i < replay.initialPathEdges.size(); ++i) {
     edgeOwner[static_cast<std::size_t>(replay.initialPathEdges[i])] = pNode;
-  }
-  if (feed_ != nullptr) {
-    feed_->open(nodes_.data());
-    publishNodes();
   }
 
   designated_ = seq_.initialPath;
@@ -469,7 +451,6 @@ HierarchyResult HierarchyBuilder::run() {
       }
       edgeOwner[static_cast<std::size_t>(replay.eInsertEdges[eEdgeIdx++])] = id;
     }
-    publishNodes();
   }
 
   // Final T-node over everything still in the working tree.
@@ -477,12 +458,8 @@ HierarchyResult HierarchyBuilder::run() {
   nodes_[static_cast<std::size_t>(root)].parent = -1;
   assert(nodes_.size() <= maxNodes);
 
-  // All structure is final: release the streaming consumer, then fill the
-  // terminals it never reads (level-parallel when an executor is present).
-  if (feed_ != nullptr) {
-    publishNodes();
-    feed_->close();
-  }
+  // All structure is final: fill the terminals (level-parallel when an
+  // executor is present).
   materializeTerminals();
 
   return HierarchyResult{Hierarchy(std::move(nodes_), root), replay.graph,
@@ -491,21 +468,9 @@ HierarchyResult HierarchyBuilder::run() {
 
 }  // namespace
 
-HierarchyResult buildHierarchy(const ConstructionSequence& seq) {
-  return buildHierarchy(seq, nullptr, nullptr);
-}
-
 HierarchyResult buildHierarchy(const ConstructionSequence& seq,
-                               StageFeed<HierNode>* feed,
                                ParallelExecutor* exec) {
-  try {
-    return HierarchyBuilder(seq, feed, exec).run();
-  } catch (...) {
-    // A streaming consumer must never be left waiting on a feed whose
-    // producer died; fail it with the same exception.
-    if (feed != nullptr) feed->fail(std::current_exception());
-    throw;
-  }
+  return HierarchyBuilder(seq, exec).run();
 }
 
 }  // namespace lanecert

@@ -14,8 +14,7 @@ namespace lanecert {
 
 /// Resolves a bundled property by its REGISTRY NAME — the stable textual
 /// grammar shared by the wire protocol (net), the snapshot tool, and the
-/// dist workers (which receive the name through the shared-memory image and
-/// must rebuild the identical property in another process):
+/// command-line tools:
 ///
 ///   "forest" | "connectivity" | "bipartite" | "2col" | "3col" |
 ///   "is-path" | "is-cycle" | "matching" | "ham-cycle" | "ham-path" |

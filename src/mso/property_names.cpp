@@ -1,8 +1,8 @@
 // The property-name registry (see properties.hpp for the grammar).  Moved
 // here from net/protocol.cpp so name resolution has no dependency above the
-// mso layer: the wire server, the snapshot tool, and the dist workers all
-// resolve through this one function, which is what makes a property name a
-// valid cross-process identity.
+// mso layer: the wire server and the snapshot tool both resolve through
+// this one function, which is what makes a property name a valid
+// cross-process identity.
 
 #include <charconv>
 

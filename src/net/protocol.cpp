@@ -66,8 +66,8 @@ void decodeLabels(Decoder& dec, std::vector<std::string>& labels) {
 
 PropertyPtr propertyByName(const std::string& name) {
   // The registry grammar lives in the mso layer (mso/property_names.cpp)
-  // so dist workers resolve the same names without linking net; this
-  // wrapper keeps the wire-facing entry point where clients expect it.
+  // so tools resolve the same names without linking net; this wrapper
+  // keeps the wire-facing entry point where clients expect it.
   return ::lanecert::propertyByName(name);
 }
 

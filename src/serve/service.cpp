@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "core/verifier.hpp"
-#include "dist/dist_verifier.hpp"
+#include "graph/algorithms.hpp"
 #include "serve/fault.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -14,9 +14,7 @@ namespace lanecert::serve {
 
 LaneCertService::LaneCertService(ServiceOptions options)
     : options_(options),
-      topo_(options.numaAware ? NumaTopology::detect()
-                              : NumaTopology::singleNode()),
-      pool_(std::max(1, resolveThreadCount(options.numThreads)), &topo_),
+      pool_(std::max(1, resolveThreadCount(options.numThreads))),
       snapshots_(options.snapshotDir.empty()
                      ? nullptr
                      : std::make_unique<snapshot::SnapshotStore>(
@@ -119,6 +117,20 @@ void LaneCertService::publishPlan(
   promise->set_value(plan);
 }
 
+std::shared_ptr<const ProvePlan> LaneCertService::buildPlan(
+    const Graph& g, const IntervalRepresentation* rep, ParallelExecutor& exec) {
+  if (!isConnected(g)) {
+    throw std::invalid_argument("proveCore: graph must be connected");
+  }
+  auto plan = std::make_shared<const ProvePlan>(buildProvePlan(g, rep, &exec));
+  // Write-behind: encode + write happen on the store's own writer thread,
+  // off the serving path.
+  if (snapshots_) {
+    snapshots_->persistAsync(snapshot::planSnapshotKey(g, rep), plan);
+  }
+  return plan;
+}
+
 CoreProveResult LaneCertService::runProve(const ProveJob& job) {
   const IntervalRepresentation* rep = job.rep ? &*job.rep : nullptr;
   if (job.graph.numVertices() <= 1) {
@@ -133,15 +145,8 @@ CoreProveResult LaneCertService::runProve(const ProveJob& job) {
     }
     bump(&ServiceStats::planBuilds);
     FaultInjector::fire(FaultSite::kPlanBuild);
-    if (!snapshots_) {
-      return proveCorePipelined(job.graph, job.ids, *job.property, rep, exec);
-    }
-    return proveCorePipelined(
-        job.graph, job.ids, *job.property, rep, exec,
-        [this, &job, rep](const std::shared_ptr<const ProvePlan>& built) {
-          snapshots_->persistAsync(snapshot::planSnapshotKey(job.graph, rep),
-                                   built);
-        });
+    const auto built = buildPlan(job.graph, rep, exec);
+    return proveCore(job.graph, job.ids, *job.property, *built, exec);
   }
 
   const std::string key = planKey(job.graph, rep);
@@ -170,56 +175,41 @@ CoreProveResult LaneCertService::runProve(const ProveJob& job) {
   }
   if (inFlight.valid()) {
     // Coalesce onto the running head build.  The future resolves at HEAD
-    // completion (the builder keeps running its waves), and the builder is
-    // an admitted job that always makes progress even when every worker is
-    // blocked here — its forShards degrade to caller-executed shards — so
-    // this wait cannot deadlock.  A failed build rethrows the builder's
-    // error into every coalesced job; retries start a fresh build.
+    // completion (the builder then runs its own prover body), and the
+    // builder is an admitted job that always makes progress even when
+    // every worker is blocked here — its forShards degrade to
+    // caller-executed shards — so this wait cannot deadlock.  A failed
+    // build rethrows the builder's error into every coalesced job; retries
+    // start a fresh build.
     bump(&ServiceStats::planBuildsCoalesced);
     plan = inFlight.get();
     return proveCore(job.graph, job.ids, *job.property, *plan, exec);
   }
   // Builder role: answer from the snapshot store when a valid on-disk plan
   // exists (warm start: the whole head — including the interval
-  // decomposition — is skipped), otherwise run the pipelined head;
-  // coalesced waiters get the plan through the promise either way.
+  // decomposition — is skipped), otherwise build the head; coalesced
+  // waiters get the plan through the promise either way, before this job
+  // runs its prover body.
   if (auto snap = loadSnapshot(job.graph, rep)) {
     publishPlan(key, promise, snap);
     return proveCore(job.graph, job.ids, *job.property, *snap, exec);
   }
   bump(&ServiceStats::planBuilds);
-  bool published = false;
   try {
     // Fired INSIDE the try: a fault here follows the failed-build path, so
     // coalesced waiters see the error and a retry starts a fresh build.
     FaultInjector::fire(FaultSite::kPlanBuild);
-    return proveCorePipelined(
-        job.graph, job.ids, *job.property, rep, exec,
-        [this, &key, &promise, &published, &job,
-         rep](const std::shared_ptr<const ProvePlan>& built) {
-          publishPlan(key, promise, built);
-          published = true;
-          // Write-behind: encode + write happen on the store's own writer
-          // thread, off the serving path.
-          if (snapshots_) {
-            snapshots_->persistAsync(
-                snapshot::planSnapshotKey(job.graph, rep), built);
-          }
-        });
+    plan = buildPlan(job.graph, rep, exec);
   } catch (...) {
-    // Clean up ONLY when the head build itself failed.  After publishPlan
-    // the promise is satisfied and the in-flight slot is gone — a same-key
-    // entry found then would belong to a NEWER build (cache-evicted plan,
-    // fresh miss) and must not be torn down by this job's wave error.
-    if (!published) {
-      {
-        std::lock_guard<std::mutex> lock(planMu_);
-        planInFlight_.erase(key);
-      }
-      promise->set_exception(std::current_exception());
+    {
+      std::lock_guard<std::mutex> lock(planMu_);
+      planInFlight_.erase(key);
     }
+    promise->set_exception(std::current_exception());
     throw;
   }
+  publishPlan(key, promise, plan);
+  return proveCore(job.graph, job.ids, *job.property, *plan, exec);
 }
 
 SimulationResult LaneCertService::runVerify(const VerifyJob& job) {
@@ -231,49 +221,6 @@ SimulationResult LaneCertService::runVerify(const VerifyJob& job) {
   FaultInjector::fire(FaultSite::kSweep);
   return simulateEdgeScheme(job.graph, job.ids, *job.labels,
                             makeCoreVerifier(job.property, job.params), exec);
-}
-
-SimulationResult LaneCertService::runDistVerify(const DistVerifyJob& job) {
-  FaultInjector::fire(FaultSite::kDecode);
-  dist::DistOptions opts;
-  opts.workers = job.workerProcesses;
-  opts.threadsPerWorker = job.threadsPerWorker;
-  opts.maxWorkerRestarts = job.maxWorkerRestarts;
-  // One ATTEMPT = a whole coordinator lifetime: image build, K forks,
-  // sweep, teardown.  Inside it, worker deaths are absorbed by re-fork +
-  // journal replay up to maxWorkerRestarts; WorkerFailure means that
-  // budget is gone, which maps onto the taxonomy as TransientError — a
-  // fresh attempt re-forks everything from scratch and cannot double-apply
-  // anything (the verdict plane is rebuilt whole).  Permanent errors
-  // (unknown property, label mismatch) fail on the first attempt.
-  const int attempts = std::max(1, job.options.maxAttempts);
-  std::chrono::milliseconds backoff = job.options.retryBackoff;
-  for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      bump(&ServiceStats::transientRetries);
-      std::this_thread::sleep_for(backoff);
-      backoff *= 2;
-    }
-    try {
-      FaultInjector::fire(FaultSite::kSweep);
-      dist::DistVerifier verifier(job.graph, job.ids, *job.labels,
-                                  job.property, job.params, opts);
-      SimulationResult result = verifier.verifyAll();
-      const dist::DistStats& ds = verifier.stats();
-      std::lock_guard<std::mutex> lock(statsMu_);
-      stats_.distWorkerDeaths += ds.workerDeaths;
-      stats_.distWorkerRestarts += ds.workerRestarts;
-      return result;
-    } catch (const dist::WorkerFailure& e) {
-      {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        ++stats_.distWorkerDeaths;  // the unabsorbed death that ended it
-      }
-      if (attempt + 1 >= attempts) throw TransientError(e.what());
-    } catch (const TransientError&) {
-      if (attempt + 1 >= attempts) throw;
-    }
-  }
 }
 
 template <typename T>
@@ -371,10 +318,6 @@ std::uint64_t LaneCertService::openVerifySession(VerifyJob job) {
   entry->session = std::make_unique<VerifySession>(
       std::move(job.graph), std::move(job.ids), *job.labels,
       std::move(job.property), job.params);
-  // Hand every session the service's detected topology (or the blind
-  // single node when numaAware is off) so sessions never re-read sysfs and
-  // all place replicas identically.
-  entry->session->setTopology(topo_);
   std::uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(sessionsMu_);
@@ -551,32 +494,6 @@ std::shared_future<SimulationResult> LaneCertService::submitVerify(
       [this](const VerifyJob& j) {
         auto result = runVerify(j);
         bump(&ServiceStats::verifyJobsCompleted);
-        return result;
-      });
-}
-
-std::shared_future<SimulationResult> LaneCertService::submitDistVerify(
-    DistVerifyJob job) {
-  admitOrReject();
-  if (!job.labels) {
-    throw std::invalid_argument("DistVerifyJob: null label payload");
-  }
-  // distVerifyJobKey resolves the property and throws invalid_argument for
-  // an unknown name — submit-time, synchronously, like a null payload:
-  // retrying an unresolvable name can never succeed, so it must not burn a
-  // scheduler slot.  Built unconditionally for exactly that validation;
-  // only kept as a cache key when caching applies.
-  std::string key = distVerifyJobKey(job);
-  if (!options_.enableResultCache || job.options.deadline) key.clear();
-  auto jobPtr = std::make_shared<const DistVerifyJob>(std::move(job));
-  // Same identity-keyed payload pinning as submitVerify — and the same
-  // cache: equal keys coalesce dist and in-process verify requests.
-  std::shared_ptr<const void> pin = jobPtr->labels;
-  return submitImpl<SimulationResult>(
-      verifyCache_, std::move(key), std::move(pin), std::move(jobPtr),
-      [this](const DistVerifyJob& j) {
-        auto result = runDistVerify(j);
-        bump(&ServiceStats::distVerifyJobsCompleted);
         return result;
       });
 }

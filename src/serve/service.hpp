@@ -20,11 +20,10 @@
 //    representation, lane plan, construction sequence, hierarchy) keyed by
 //    exact graph + supplied-representation bytes; one graph served under
 //    many properties or id assignments plans once.  Cache MISSES coalesce
-//    too: the first job runs the PIPELINED head (hierarchy streaming into
-//    its waves) and publishes the plan the moment the head completes, so a
-//    concurrent miss storm on one graph performs exactly one head build
-//    and the waiters start their waves while the builder's are still
-//    running;
+//    too: the first job builds the head and publishes the plan the moment
+//    it completes, so a concurrent miss storm on one graph performs exactly
+//    one head build and the waiters start their prover bodies alongside
+//    the builder's;
 //  * result cache + request coalescing — identical requests (exact content
 //    key, never hash-only) share one computation and one result, whether
 //    they arrive concurrently (coalesced) or after completion (cache hit).
@@ -75,7 +74,6 @@
 #include "core/verify_session.hpp"
 #include "pls/scheme.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/topology.hpp"
 #include "serve/batch_scheduler.hpp"
 #include "serve/errors.hpp"
 #include "serve/job.hpp"
@@ -97,13 +95,6 @@ struct ServiceOptions {
   bool enableResultCache = true;
   std::size_t maxCachedPlans = 16;
   std::size_t maxCachedResults = 64;
-  /// Topology awareness: detect the machine's NUMA layout at construction,
-  /// pin pool workers round-robin across nodes, and hand the topology to
-  /// every verification session (which mirrors its label plane per node —
-  /// see runtime/numa_mirror.hpp).  Single-node machines make all of it a
-  /// no-op; results are bit-identical either way, so the switch exists for
-  /// A/B measurement, not safety.
-  bool numaAware = true;
   /// Admission control: when > 0 and the scheduler backlog (admitted, not
   /// yet started jobs) has reached this depth, submit* throws RejectedError
   /// synchronously instead of queueing — with a retry-after hint scaled by
@@ -123,21 +114,14 @@ struct ServiceOptions {
 struct ServiceStats {
   std::uint64_t proveJobsCompleted = 0;
   std::uint64_t verifyJobsCompleted = 0;
-  /// Multi-process verification jobs (submitDistVerify) that completed.
-  std::uint64_t distVerifyJobsCompleted = 0;
-  /// Worker-process deaths observed across all dist jobs (each absorbed by
-  /// the coordinator's re-fork + journal replay when within budget)...
-  std::uint64_t distWorkerDeaths = 0;
-  /// ...and the successful re-forks that absorbed them.
-  std::uint64_t distWorkerRestarts = 0;
   std::uint64_t planCacheHits = 0;
   std::uint64_t resultCacheHits = 0;  ///< includes coalesced in-flight hits
-  /// Prover head builds actually RUN (pipelined, on a cache miss).  A
-  /// cache-miss storm on one graph bumps this exactly once.
+  /// Prover head builds actually RUN (on a cache miss).  A cache-miss
+  /// storm on one graph bumps this exactly once.
   std::uint64_t planBuilds = 0;
   /// Cache-miss jobs that joined an IN-FLIGHT head build instead of
   /// running their own (they receive the plan the moment the builder's
-  /// head completes, before its waves finish).
+  /// head completes, before its prover body runs).
   std::uint64_t planBuildsCoalesced = 0;
   /// Cancelled requests: one per discarded prove/verify job, one per
   /// reverify batch failed by a discarded session driver.
@@ -190,16 +174,6 @@ class LaneCertService {
   std::shared_future<CoreProveResult> submitProve(ProveJob job);
   /// Queues a verification request.  Throws RejectedError like submitProve.
   std::shared_future<SimulationResult> submitVerify(VerifyJob job);
-  /// Queues a MULTI-PROCESS verification request (src/dist): the job runs a
-  /// forked coordinator/worker sweep whose result is byte-identical to
-  /// submitVerify over the same content, so the two share one result-cache
-  /// entry.  Worker-process deaths are absorbed by the coordinator
-  /// (re-fork + journal replay) up to the job's maxWorkerRestarts; past
-  /// that the attempt fails as a TransientError and the job is retried up
-  /// to JobOptions::maxAttempts with doubling backoff before the future
-  /// fails.  Throws std::invalid_argument synchronously for an unknown
-  /// property name or a null payload; RejectedError like submitProve.
-  std::shared_future<SimulationResult> submitDistVerify(DistVerifyJob job);
 
   /// Opens a persistent verification session over the job's configuration;
   /// the label payload is COPIED into the session's own versioned store, so
@@ -283,11 +257,12 @@ class LaneCertService {
 
   CoreProveResult runProve(const ProveJob& job);
   SimulationResult runVerify(const VerifyJob& job);
-  /// Attempt loop of submitDistVerify: runs the dist coordinator, maps an
-  /// exhausted worker-restart budget (dist::WorkerFailure) onto
-  /// TransientError, and retries per the job's JobOptions.  Folds each
-  /// attempt's worker death/restart counters into the service stats.
-  SimulationResult runDistVerify(const DistVerifyJob& job);
+  /// Plan-cache-miss head build: proveCore's connectivity precondition,
+  /// then buildProvePlan over `exec`, then a write-behind snapshot persist
+  /// when a store is configured.
+  [[nodiscard]] std::shared_ptr<const ProvePlan> buildPlan(
+      const Graph& g, const IntervalRepresentation* rep,
+      ParallelExecutor& exec);
   /// Plan-cache-miss snapshot probe: null when no store is configured, the
   /// file is absent, or validation rejects it.  Never throws (an injected
   /// kSnapshotLoad fault or I/O error degrades to a miss); accounts
@@ -318,9 +293,6 @@ class LaneCertService {
   void admitOrReject();
 
   const ServiceOptions options_;
-  /// Detected once at construction (numaAware only); declared before the
-  /// pool so worker pinning can read it during pool construction.
-  const NumaTopology topo_;
   WorkerPool pool_;
   /// Null unless options_.snapshotDir is set.  Owns its own writer thread
   /// (never the service pool); declared before sched_ so in-flight jobs can
@@ -331,8 +303,8 @@ class LaneCertService {
   std::unordered_map<std::string, std::shared_ptr<const ProvePlan>> plans_;
   std::deque<std::string> planOrder_;
   /// Head builds currently running: cache-miss storms on one graph
-  /// coalesce onto the first job's pipelined build through these futures
-  /// (fulfilled at HEAD completion, not job completion).
+  /// coalesce onto the first job's build through these futures (fulfilled
+  /// at HEAD completion, not job completion).
   std::unordered_map<std::string,
                      std::shared_future<std::shared_ptr<const ProvePlan>>>
       planInFlight_;

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -110,27 +110,31 @@ TEST(ProverParallel, ParallelProofVerifiesEndToEnd) {
   EXPECT_TRUE(run.sim.allAccept);
 }
 
-// --- Pipelined head (plan construction overlapped with wave execution) ---
+// --- One-call driver vs the staged plan -> body path ---
 
-void expectPipelinedMatchesPlanned(const Graph& g, const IdAssignment& ids,
-                                   const Property& prop,
-                                   const IntervalRepresentation* rep) {
-  // Ground truth: the barriered path over a prebuilt plan, single thread.
+void expectOneCallMatchesStaged(const Graph& g, const IdAssignment& ids,
+                                const Property& prop,
+                                const IntervalRepresentation* rep) {
+  // Ground truth: a serially built plan through the prover body, one thread.
   const ProvePlan plan = buildProvePlan(g, rep);
   ParallelExecutor serial(1);
-  const CoreProveResult planned = proveCore(g, ids, prop, plan, serial);
+  const CoreProveResult staged = proveCore(g, ids, prop, plan, serial);
   for (int threads : {1, 2, 4, 8}) {
-    // The pipelined driver streams hierarchy nodes into its waves and
-    // overlaps the pointer BFS — every output byte must still match.
+    expectSameProveResult(staged, proveCore(g, ids, prop, rep, threads));
+    // A plan built over a t-thread executor (parallel interval scans and
+    // terminal materialization) serves any other executor byte-identically,
+    // which is what lets the serving layer hand it to coalesced jobs.
     ParallelExecutor exec(threads);
-    expectSameProveResult(planned,
-                          proveCorePipelined(g, ids, prop, rep, exec));
-    // The planned path itself must also be thread-invariant.
-    ParallelExecutor exec2(threads);
-    expectSameProveResult(planned, proveCore(g, ids, prop, plan, exec2));
+    const ProvePlan parallelPlan = buildProvePlan(g, rep, &exec);
+    ParallelExecutor other(1 + threads % 3);
+    expectSameProveResult(staged,
+                          proveCore(g, ids, prop, parallelPlan, other));
   }
 }
 
+// These two keep the names they had when the one-call entry point ran a
+// separate pipelined driver; they now pin the one-call proveCore to the
+// staged plan -> body path it is built from.
 TEST(ProverParallel, PipelinedBitIdenticalToPlannedProver) {
   Rng rng(606);
   for (int trial = 0; trial < 3; ++trial) {
@@ -138,58 +142,40 @@ TEST(ProverParallel, PipelinedBitIdenticalToPlannedProver) {
     const auto rep = IntervalRepresentation::fromPairs(bp.intervals);
     const auto ids = IdAssignment::random(bp.graph.numVertices(),
                                           77 + static_cast<unsigned>(trial));
-    expectPipelinedMatchesPlanned(bp.graph, ids, *makeConnectivity(), &rep);
+    expectOneCallMatchesStaged(bp.graph, ids, *makeConnectivity(), &rep);
   }
-  // Chain-shaped hierarchies (every wave is a singleton) stress the
-  // streamed consumer's inline path; cliques stress the bridge chains.
+  // Chain-shaped hierarchies (every wave is a singleton) take the inline
+  // wave path; cliques stress the bridge chains.
   const Graph path = pathGraph(70);
-  expectPipelinedMatchesPlanned(path, IdAssignment::random(70, 5),
-                                *makePathProperty(), nullptr);
+  expectOneCallMatchesStaged(path, IdAssignment::random(70, 5),
+                             *makePathProperty(), nullptr);
   const Graph clique = completeGraph(7);
-  expectPipelinedMatchesPlanned(clique, IdAssignment::random(7, 6),
-                                *makeConnectivity(), nullptr);
+  expectOneCallMatchesStaged(clique, IdAssignment::random(7, 6),
+                             *makeConnectivity(), nullptr);
 }
 
 TEST(ProverParallel, PipelinedRejectionBitIdenticalToPlanned) {
-  const Graph g = cycleGraph(14);
-  expectPipelinedMatchesPlanned(g, IdAssignment::random(14, 8), *makeForest(),
-                                nullptr);
+  // Rejection: the waves run, certificate encoding is skipped.
+  const Graph cycle = cycleGraph(14);
+  expectOneCallMatchesStaged(cycle, IdAssignment::random(14, 8), *makeForest(),
+                             nullptr);
 }
 
-TEST(ProverParallel, PipelinedPlanHookFiresOnceWithTheFullHead) {
-  Rng rng(607);
-  auto bp = randomBoundedPathwidth(60, 2, 0.4, rng);
-  const auto rep = IntervalRepresentation::fromPairs(bp.intervals);
-  const auto ids = IdAssignment::random(60, 9);
-  ParallelExecutor exec(4);
-  int calls = 0;
-  std::shared_ptr<const ProvePlan> seen;
-  const auto r = proveCorePipelined(
-      bp.graph, ids, *makeConnectivity(), &rep, exec,
-      [&](const std::shared_ptr<const ProvePlan>& plan) {
-        ++calls;
-        seen = plan;
-      });
-  EXPECT_TRUE(r.propertyHolds);
-  ASSERT_EQ(calls, 1);
-  ASSERT_NE(seen, nullptr);
-  // The published head must be the COMPLETE plan (usable by other jobs):
-  // byte-identical prover output when replayed through the planned path.
-  ParallelExecutor exec2(2);
-  expectSameProveResult(
-      r, proveCore(bp.graph, ids, *makeConnectivity(), *seen, exec2));
-}
-
-TEST(ProverParallel, PipelinedDegenerateInputsNeedNoPlan) {
-  const Graph single(1);
-  ParallelExecutor exec(2);
-  int calls = 0;
-  const auto r = proveCorePipelined(
-      single, IdAssignment::identity(1), *makeConnectivity(), nullptr, exec,
-      [&](const std::shared_ptr<const ProvePlan>&) { ++calls; });
-  EXPECT_TRUE(r.propertyHolds);
-  EXPECT_TRUE(r.labels.empty());
-  EXPECT_EQ(calls, 0);  // no head exists for a degenerate graph
+TEST(ProverParallel, DegenerateInputsNeedNoPlan) {
+  // Single vertex and empty graph short-circuit before any plan stage.
+  for (int threads : {1, 2}) {
+    const auto r = proveCore(Graph(1), IdAssignment::identity(1),
+                             *makeConnectivity(), nullptr, threads);
+    EXPECT_TRUE(r.propertyHolds);
+    EXPECT_TRUE(r.labels.empty());
+    const auto e = proveCore(Graph(0), IdAssignment::identity(0),
+                             *makeConnectivity(), nullptr, threads);
+    EXPECT_TRUE(e.labels.empty());
+  }
+  // Disconnected graphs are refused before the plan stage.
+  EXPECT_THROW((void)proveCore(Graph(2), IdAssignment::identity(2),
+                               *makeConnectivity(), nullptr, 2),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -85,8 +85,6 @@ TEST_P(CoreSweep, EdgeModeMatchesGroundTruth) {
 
 TEST_P(CoreSweep, VertexModeMatchesGroundTruth) {
   const SweepCase c = sweepCases()[static_cast<std::size_t>(GetParam())];
-  // Vertex mode is slower; sample every third case for breadth.
-  if (GetParam() % 3 != 0) GTEST_SKIP();
   const Graph g = c.makeGraph();
   const PropertyPtr prop = c.makeProp();
   const IdAssignment ids = IdAssignment::random(g.numVertices(), 99);
