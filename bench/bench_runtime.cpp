@@ -16,7 +16,6 @@
 #include "core/algebra.hpp"
 #include "core/prover.hpp"
 #include "core/scheme.hpp"
-#include "core/simd.hpp"
 #include "core/verify_session.hpp"
 #include "graph/generators.hpp"
 #include "mso/properties.hpp"
@@ -250,13 +249,11 @@ BENCHMARK(BM_Reverify)
     ->Unit(benchmark::kMillisecond);
 
 void BM_AlgebraFold(benchmark::State& state) {
-  // The SIMD-kernel microbench: the baseP replay and the parentMerge fold
+  // The lane-algebra microbench: the baseP replay and the parentMerge fold
   // in isolation, over a synthetic chain at the arg'd lane width.  These
   // two folds are exactly what a chain-entry validation replays, so this
-  // isolates the struct-of-arrays kernels (core/simd.hpp) from decode and
-  // sweep bookkeeping.  The `simd` counter records which backend the
-  // binary was configured with (1 = omp-simd, 0 = scalar fallback) so
-  // archived runs of the two builds are distinguishable.
+  // isolates the fold scans (core/algebra.cpp) from decode and sweep
+  // bookkeeping.
   const auto prop = makeConnectivity();
   const LaneAlgebra alg(*prop);
   const int width = static_cast<int>(state.range(0));
@@ -281,7 +278,6 @@ void BM_AlgebraFold(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(cur.state);
   }
-  state.counters["simd"] = simd::kEnabled ? 1.0 : 0.0;
   state.counters["width"] = static_cast<double>(width);
 }
 BENCHMARK(BM_AlgebraFold)->Arg(4)->Arg(8)->Arg(16)

@@ -121,7 +121,7 @@ struct ChainEntry {
   /// memoization key: byte-equal encodings decode to structurally equal
   /// entries (decodeFrom is a pure function of the bytes), so the sweep
   /// cache and the per-thread read memo compare this one contiguous lane
-  /// with the SIMD byte kernel instead of walking the record graph.  The
+  /// with one byte compare instead of walking the record graph.  The
   /// converse does not hold (padded varints), so byte INEQUALITY only ever
   /// causes a conservative re-validation, never a verdict change.
   std::string_view srcBytes;

@@ -12,22 +12,12 @@
 
 #include "core/algebra.hpp"
 #include "core/records.hpp"
-#include "core/simd.hpp"
 #include "lane/bounds.hpp"
 #include "pls/pointer.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/flat_map.hpp"
 
 namespace lanecert {
-
-namespace {
-
-/// Byte-equality over two encodings (size gate + the SIMD compare kernel).
-bool bytesEq(std::string_view a, std::string_view b) {
-  return a.size() == b.size() && simd::equalBytes(a.data(), b.data(), a.size());
-}
-
-}  // namespace
 
 /// Per-thread read-side memo in front of the shared SweepEntryCache:
 /// validated entry ENCODINGS this thread has already seen.  Near-root
@@ -58,7 +48,7 @@ struct SweepReadMemo {
     const auto* variants = validated.find(nodeId);
     if (variants == nullptr) return false;
     for (const std::string& v : *variants) {
-      if (bytesEq(v, entryBytes)) return true;
+      if (v == entryBytes) return true;
     }
     return false;
   }
@@ -68,7 +58,7 @@ struct SweepReadMemo {
     std::vector<std::string>& variants =
         *validated.tryEmplace(nodeId, {}).first;
     for (const std::string& v : variants) {
-      if (bytesEq(v, entryBytes)) return;
+      if (v == entryBytes) return;
     }
     variants.emplace_back(entryBytes);
     ++total;
@@ -251,7 +241,7 @@ bool SweepEntryCache::containsValidated(std::int64_t nodeId,
   auto* variants = s.validated.find(nodeId);
   if (variants != nullptr) {
     for (Impl::Variant& v : *variants) {
-      if (bytesEq(v.bytes, entryBytes)) {
+      if (v.bytes == entryBytes) {
         v.stamp = ++s.tick;  // refresh recency: hot entries outlive eviction
         impl_->hits.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -269,7 +259,7 @@ void SweepEntryCache::markValidated(std::int64_t nodeId,
   std::vector<Impl::Variant>& variants =
       *s.validated.tryEmplace(nodeId, {}).first;
   for (Impl::Variant& v : variants) {
-    if (bytesEq(v.bytes, entryBytes)) {
+    if (v.bytes == entryBytes) {
       v.stamp = ++s.tick;
       return;  // raced: already recorded
     }
@@ -335,7 +325,7 @@ void require(bool cond) {
 /// plain heap containers, certificate record fields are pmr (arena-backed
 /// on the decode path) — different types to the language, same bytes here.
 bool sameBytes(const std::string& a, const std::pmr::string& b) {
-  return bytesEq(a, std::string_view(b.data(), b.size()));
+  return std::string_view(a) == std::string_view(b);
 }
 template <typename T, typename A1, typename A2>
 bool sameSeq(const std::vector<T, A1>& a, const std::vector<T, A2>& b) {
@@ -349,7 +339,7 @@ class Checker {
  public:
   Checker(const LaneAlgebra& alg, const CoreVerifierParams& params,
           const EdgeView& view, VerifierScratch& scratch,
-          SweepEntryCache* sweepCache)
+          SweepEntryCache& sweepCache)
       : alg_(alg),
         params_(params),
         view_(view),
@@ -361,9 +351,7 @@ class Checker {
     // scratch is shared by every engine on this thread, and memo contents
     // are only meaningful against the engine that validated them) or when
     // the same cache was cleared (memory bound).
-    if (sweepCache_ != nullptr) {
-      s_.memo.syncTo(sweepCache_->id(), sweepCache_->epoch());
-    }
+    s_.memo.syncTo(sweepCache_.id(), sweepCache_.epoch());
   }
 
   bool run();
@@ -387,7 +375,7 @@ class Checker {
   const CoreVerifierParams& params_;
   const EdgeView& view_;
   VerifierScratch& s_;
-  SweepEntryCache* sweepCache_;
+  SweepEntryCache& sweepCache_;
   std::uint64_t memoHits_ = 0;
 
   bool bridgeConflict_ = false;   ///< two chain parts entered one B-node
@@ -551,7 +539,7 @@ void Checker::validateEntry(const ChainEntry& e) {
   std::vector<std::string_view>& seen =
       *s_.validatedEntries.tryEmplace(e.self.nodeId, {}).first;
   for (std::string_view p : seen) {
-    if (bytesEq(p, bytes)) {
+    if (p == bytes) {
       if (e.kind == ChainEntry::Kind::kTree) s_.allTreeEntries.push_back(&e);
       return;
     }
@@ -583,22 +571,14 @@ void Checker::validateEntry(const ChainEntry& e) {
   // cache, then the full algebra replay.  A cache hit of either kind only
   // skips recomputation whose outcome is forced, so verdicts never depend
   // on memo/cache state.
-  bool alreadyValidated = false;
-  if (sweepCache_ != nullptr) {
-    if (params_.readMemo && s_.memo.contains(e.self.nodeId, bytes)) {
-      ++memoHits_;
-      alreadyValidated = true;
-    } else if (sweepCache_->containsValidated(e.self.nodeId, bytes)) {
-      alreadyValidated = true;
-      if (params_.readMemo) s_.memo.insert(e.self.nodeId, bytes);
-    }
-  }
-  if (!alreadyValidated) {
+  if (params_.readMemo && s_.memo.contains(e.self.nodeId, bytes)) {
+    ++memoHits_;
+  } else if (sweepCache_.containsValidated(e.self.nodeId, bytes)) {
+    if (params_.readMemo) s_.memo.insert(e.self.nodeId, bytes);
+  } else {
     validateEntryPure(e);
-    if (sweepCache_ != nullptr) {
-      sweepCache_->markValidated(e.self.nodeId, bytes);
-      if (params_.readMemo) s_.memo.insert(e.self.nodeId, bytes);
-    }
+    sweepCache_.markValidated(e.self.nodeId, bytes);
+    if (params_.readMemo) s_.memo.insert(e.self.nodeId, bytes);
   }
   if (e.kind == ChainEntry::Kind::kTree) s_.allTreeEntries.push_back(&e);
   seen.push_back(bytes);
@@ -637,7 +617,7 @@ void Checker::validateCert(const EdgeCert& cert, bool isVirtual) {
       // rejecting an honest re-encoding would change verdicts.
       const bool fastEq = !cert.rootEntry.srcBytes.empty() &&
                           !rootEntry_->srcBytes.empty() &&
-                          bytesEq(cert.rootEntry.srcBytes, rootEntry_->srcBytes);
+                          cert.rootEntry.srcBytes == rootEntry_->srcBytes;
       require(fastEq || cert.rootEntry == *rootEntry_);
     }
   }
@@ -932,7 +912,7 @@ bool CoreVerifierEngine::check(const EdgeView& view, ThreadState& state) const {
   // throw (allocation), and check() is documented never to throw — reject
   // instead.  Rejecting runs still flush their memo hits.
   try {
-    Checker checker(*algebra_, params_, view, *state.impl_, &cache_);
+    Checker checker(*algebra_, params_, view, *state.impl_, cache_);
     try {
       ok = checker.run();
     } catch (const std::exception&) {

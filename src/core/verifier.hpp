@@ -105,7 +105,7 @@ struct SweepCacheStats {
 /// Non-canonical encodings of the same entry (padded varints) key
 /// separately, which only ever costs a conservative re-validation.
 /// Storing one contiguous byte string per entry also makes lookups a
-/// single SIMD byte compare instead of a record-graph walk, and inserts a
+/// single byte compare instead of a record-graph walk, and inserts a
 /// flat copy instead of a deep pmr clone.  Thread-safe: lookups and
 /// inserts take a stripe lock hashed on the entry's node id; stored
 /// strings live on the global heap, so they outlive the per-thread decode

@@ -27,35 +27,24 @@ void VerifySession::ensureIndex(ParallelExecutor& exec) {
   indexBuilt_ = true;
 }
 
-void VerifySession::ensureThreadStates(int count) {
-  if (static_cast<int>(threadStates_.size()) < count) {
-    threadStates_.resize(static_cast<std::size_t>(count));
-  }
-}
-
-void VerifySession::checkVertexInto(VertexId v,
-                                    CoreVerifierEngine::ThreadState& state) {
-  EdgeView view;
-  view.selfId = ids_.id(v);
-  view.incidentLabels = index_.row(v);
-  verdicts_[static_cast<std::size_t>(v)] =
-      engine_.check(view, state) ? 1 : 0;
+void VerifySession::sweep(std::optional<std::span<const VertexId>> rows,
+                          ParallelExecutor& exec) {
+  const auto shards = static_cast<std::size_t>(exec.numThreads());
+  if (threadStates_.size() < shards) threadStates_.resize(shards);
+  sweepVerdicts(exec, rows, verdicts_, [&](std::size_t shard, VertexId v) {
+    EdgeView view;
+    view.selfId = ids_.id(v);
+    view.incidentLabels = index_.row(v);
+    return engine_.check(view, threadStates_[shard]);
+  });
 }
 
 SimulationResult VerifySession::verifyAll(ParallelExecutor& exec) {
   ensureIndex(exec);
-  ensureThreadStates(exec.numThreads());
-  const auto n = static_cast<std::size_t>(g_.numVertices());
-  verdicts_.assign(n, 0);
-  exec.forShards(n, [&](std::size_t shard, std::size_t begin,
-                        std::size_t end) {
-    CoreVerifierEngine::ThreadState& state = threadStates_[shard];
-    for (std::size_t vi = begin; vi < end; ++vi) {
-      checkVertexInto(static_cast<VertexId>(vi), state);
-    }
-  });
+  verdicts_.assign(static_cast<std::size_t>(g_.numVertices()), 0);
+  sweep(std::nullopt, exec);
   swept_ = true;
-  return assembleResult();
+  return resultFromVerdicts(verdicts_, store_);
 }
 
 SimulationResult VerifySession::verifyAll(int numThreads) {
@@ -131,19 +120,11 @@ SimulationResult VerifySession::reverify(
     deduped.erase(std::unique(deduped.begin(), deduped.end()), deduped.end());
     rows = deduped;
   }
-  ensureThreadStates(exec.numThreads());
   // Dirty rows shard over the executor exactly like a full sweep shards all
   // rows; verdicts of clean vertices carry over untouched (their views are
   // byte-identical, so a fresh check would reproduce them — locality).
-  exec.forShards(rows.size(),
-                 [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                   CoreVerifierEngine::ThreadState& state =
-                       threadStates_[shard];
-                   for (std::size_t i = begin; i < end; ++i) {
-                     checkVertexInto(rows[i], state);
-                   }
-                 });
-  return assembleResult();
+  sweep(rows, exec);
+  return resultFromVerdicts(verdicts_, store_);
 }
 
 SimulationResult VerifySession::reverifyEdits(
@@ -160,17 +141,6 @@ SimulationResult VerifySession::reverifyEdits(
     std::span<const EdgeLabelEdit> edits, int numThreads) {
   ParallelExecutor exec(numThreads);
   return reverifyEdits(edits, exec);
-}
-
-SimulationResult VerifySession::assembleResult() const {
-  SimulationResult r;
-  r.maxLabelBits = store_.maxLabelBits();
-  r.totalLabelBits = store_.totalLabelBits();
-  for (std::size_t vi = 0; vi < verdicts_.size(); ++vi) {
-    if (verdicts_[vi] == 0) r.rejecting.push_back(static_cast<VertexId>(vi));
-  }
-  r.allAccept = r.rejecting.empty();
-  return r;
 }
 
 }  // namespace lanecert

@@ -23,14 +23,16 @@
 // BYTE-IDENTICAL to a fresh simulateEdgeScheme over the current labels, for
 // every executor thread count — same rejecting vector, same bit stats.
 //
-// Threading: reverify/verifyAll shard dirty rows over the caller's
-// deterministic executor (contiguous ordered shards, one ThreadState per
-// shard).  The session itself is NOT internally synchronized — callers
-// serialize applyEdits/reverify per session (the serving layer's session
-// registry runs one driver per session at a time).
+// Threading: reverify/verifyAll run sweepVerdicts (pls/scheme.hpp), the
+// simulators' sweep driver, over the caller's deterministic executor —
+// contiguous ordered shards, one ThreadState per shard.  The session itself
+// is NOT internally synchronized — callers serialize applyEdits/reverify
+// per session (the serving layer's session registry runs one driver per
+// session at a time).
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -109,9 +111,10 @@ class VerifySession {
 
  private:
   void ensureIndex(ParallelExecutor& exec);
-  void ensureThreadStates(int count);
-  [[nodiscard]] SimulationResult assembleResult() const;
-  void checkVertexInto(VertexId v, CoreVerifierEngine::ThreadState& state);
+  /// Checks `rows` (every vertex when std::nullopt) through sweepVerdicts,
+  /// one ThreadState per shard.
+  void sweep(std::optional<std::span<const VertexId>> rows,
+             ParallelExecutor& exec);
 
   Graph g_;
   IdAssignment ids_;

@@ -85,7 +85,6 @@ class Decoder {
   Decoder& operator=(const Decoder&) = delete;
 
   [[nodiscard]] std::uint64_t u64() {
-#if defined(LANECERT_SIMD) && LANECERT_SIMD
     // SWAR fast path: one aligned-agnostic 16-bit load answers the two
     // dominant cases (certificate varints are overwhelmingly 1–2 bytes —
     // vertex ids, lane indices, list lengths) with masks instead of a
@@ -108,7 +107,6 @@ class Decoder {
         }
       }
     }
-#endif
     return u64Scalar();
   }
   /// Byte-serial LEB128 reference: always compiled, identical contract to

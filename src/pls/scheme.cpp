@@ -8,44 +8,37 @@
 
 namespace lanecert {
 
-namespace {
-
-/// Shared sweep skeleton for both scheme kinds.  `checkVertex(v)` runs the
-/// verifier on vertex v's (pre-built, zero-copy) view.  Vertices are swept
-/// in contiguous ordered shards with per-shard reject lists, so the merged
-/// `rejecting` vector is ascending and identical for every thread count.
-template <typename CheckVertex>
-SimulationResult sweep(const Graph& g, const LabelStore& store,
-                       ParallelExecutor& exec, const CheckVertex& checkVertex) {
-  SimulationResult r;
-  r.maxLabelBits = store.maxLabelBits();
-  r.totalLabelBits = store.totalLabelBits();
-
-  const auto n = static_cast<std::size_t>(g.numVertices());
-  std::vector<std::vector<VertexId>> shardRejects(
-      static_cast<std::size_t>(exec.numThreads()));
-  exec.forShards(n, [&](std::size_t shard, std::size_t begin,
-                        std::size_t end) {
-    std::vector<VertexId>& rejects = shardRejects[shard];
-    for (std::size_t vi = begin; vi < end; ++vi) {
-      const auto v = static_cast<VertexId>(vi);
+void sweepVerdicts(ParallelExecutor& exec,
+                   std::optional<std::span<const VertexId>> rows,
+                   std::span<std::uint8_t> verdicts,
+                   const ShardedVertexCheck& check) {
+  const std::size_t count = rows ? rows->size() : verdicts.size();
+  exec.forShards(count, [&](std::size_t shard, std::size_t begin,
+                            std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const VertexId v = rows ? (*rows)[i] : static_cast<VertexId>(i);
       bool ok = false;
       try {
-        ok = checkVertex(v);
+        ok = check(shard, v);
       } catch (...) {
         ok = false;  // malformed certificates are rejections, never crashes
       }
-      if (!ok) rejects.push_back(v);
+      verdicts[static_cast<std::size_t>(v)] = ok ? 1 : 0;
     }
   });
-  for (const std::vector<VertexId>& rejects : shardRejects) {
-    r.rejecting.insert(r.rejecting.end(), rejects.begin(), rejects.end());
+}
+
+SimulationResult resultFromVerdicts(std::span<const std::uint8_t> verdicts,
+                                    const LabelStore& store) {
+  SimulationResult r;
+  r.maxLabelBits = store.maxLabelBits();
+  r.totalLabelBits = store.totalLabelBits();
+  for (std::size_t vi = 0; vi < verdicts.size(); ++vi) {
+    if (verdicts[vi] == 0) r.rejecting.push_back(static_cast<VertexId>(vi));
   }
   r.allAccept = r.rejecting.empty();
   return r;
 }
-
-}  // namespace
 
 SimulationResult simulateEdgeScheme(const Graph& g, const IdAssignment& ids,
                                     const std::vector<std::string>& labels,
@@ -56,12 +49,14 @@ SimulationResult simulateEdgeScheme(const Graph& g, const IdAssignment& ids,
   }
   const LabelStore store(labels);
   const VertexLabelIndex index = buildIncidentEdgeIndex(g, store, exec);
-  return sweep(g, store, exec, [&](VertexId v) {
+  std::vector<std::uint8_t> verdicts(static_cast<std::size_t>(g.numVertices()));
+  sweepVerdicts(exec, std::nullopt, verdicts, [&](std::size_t, VertexId v) {
     EdgeView view;
     view.selfId = ids.id(v);
     view.incidentLabels = index.row(v);
     return verify(view);
   });
+  return resultFromVerdicts(verdicts, store);
 }
 
 SimulationResult simulateEdgeScheme(const Graph& g, const IdAssignment& ids,
@@ -81,13 +76,15 @@ SimulationResult simulateVertexScheme(const Graph& g, const IdAssignment& ids,
   }
   const LabelStore store(labels);
   const VertexLabelIndex index = buildNeighborIndex(g, store, exec);
-  return sweep(g, store, exec, [&](VertexId v) {
+  std::vector<std::uint8_t> verdicts(static_cast<std::size_t>(g.numVertices()));
+  sweepVerdicts(exec, std::nullopt, verdicts, [&](std::size_t, VertexId v) {
     VertexView view;
     view.selfId = ids.id(v);
     view.selfLabel = store.view(static_cast<std::size_t>(v));
     view.neighborLabels = index.row(v);
     return verify(view);
   });
+  return resultFromVerdicts(verdicts, store);
 }
 
 SimulationResult simulateVertexScheme(const Graph& g, const IdAssignment& ids,

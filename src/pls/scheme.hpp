@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -24,6 +25,7 @@
 
 namespace lanecert {
 
+class LabelStore;
 class ParallelExecutor;
 
 /// What a vertex sees in an EDGE-labeling scheme: its own identifier and
@@ -61,11 +63,11 @@ struct SimulationResult {
 };
 
 /// Knobs for the simulation sweep.  The verifier is strictly local, so the
-/// sweep shards vertices over threads; results are bit-identical to the
-/// sequential path for every numThreads (contiguous ordered shards, merged
-/// by shard index).  Verifiers must therefore be safe to call concurrently
-/// from several threads — all bundled verifiers are pure functions of the
-/// view (plus per-thread scratch).
+/// sweep shards vertices over threads (sweepVerdicts below); results are
+/// bit-identical to the sequential path for every numThreads.  Verifiers
+/// must therefore be safe to call concurrently from several threads — all
+/// bundled verifiers are pure functions of the view (plus per-thread
+/// scratch).
 struct SimulationOptions {
   int numThreads = 1;  ///< <= 0 means std::thread::hardware_concurrency()
 };
@@ -95,6 +97,30 @@ struct SimulationOptions {
     const Graph& g, const IdAssignment& ids,
     const std::vector<std::string>& labels, const VertexVerifier& verify,
     ParallelExecutor& exec);
+
+/// One vertex check inside a sweep: `shard` is the executor shard running
+/// it (callers index per-shard scratch by it), `v` the vertex to check.
+using ShardedVertexCheck = std::function<bool(std::size_t shard, VertexId v)>;
+
+/// THE sweep driver: every vertex-check loop (the simulators and
+/// VerifySession's full and incremental sweeps) runs through it.  Shards
+/// `rows` — every index of `verdicts` when std::nullopt, else an ascending
+/// unique list of in-range vertices — contiguously over `exec`, runs
+/// check(shard, v) on each and writes verdicts[v] = 1 (accept) or 0.  A
+/// check that throws is a reject: malformed certificates are rejections,
+/// never crashes.  Bytes of vertices outside `rows` are left untouched, and
+/// since each row is written by exactly one shard the verdicts are the same
+/// for every thread count.
+void sweepVerdicts(ParallelExecutor& exec,
+                   std::optional<std::span<const VertexId>> rows,
+                   std::span<std::uint8_t> verdicts,
+                   const ShardedVertexCheck& check);
+
+/// The SimulationResult of a verdict vector (1 = accept, indexed by
+/// vertex) over the labels in `store`: rejecting vertices ascending, bit
+/// stats from the store.
+[[nodiscard]] SimulationResult resultFromVerdicts(
+    std::span<const std::uint8_t> verdicts, const LabelStore& store);
 
 /// Kinds of adversarial label corruption used by soundness tests.
 enum class Mutation {

@@ -139,16 +139,6 @@ CoreProveResult LaneCertService::runProve(const ProveJob& job) {
     return proveCore(job.graph, job.ids, *job.property, rep, 1);
   }
   ParallelExecutor exec(pool_);
-  if (!options_.enablePlanCache) {
-    if (auto snap = loadSnapshot(job.graph, rep)) {
-      return proveCore(job.graph, job.ids, *job.property, *snap, exec);
-    }
-    bump(&ServiceStats::planBuilds);
-    FaultInjector::fire(FaultSite::kPlanBuild);
-    const auto built = buildPlan(job.graph, rep, exec);
-    return proveCore(job.graph, job.ids, *job.property, *built, exec);
-  }
-
   const std::string key = planKey(job.graph, rep);
   std::shared_ptr<const ProvePlan> plan;
   std::shared_future<std::shared_ptr<const ProvePlan>> inFlight;

@@ -91,7 +91,6 @@ struct ServiceOptions {
   int numThreads = 0;
   /// Max jobs in flight at once; <= 0 resolves to the pool size.
   int maxConcurrentJobs = 0;
-  bool enablePlanCache = true;
   bool enableResultCache = true;
   std::size_t maxCachedPlans = 16;
   std::size_t maxCachedResults = 64;

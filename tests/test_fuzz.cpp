@@ -178,12 +178,11 @@ TEST(FuzzMutator, DeterministicAndClassifierAgreesWithDecoder) {
 }
 
 // --- SWAR fast-path identity ----------------------------------------------
-// Decoder::u64 takes a two-byte SWAR shortcut (under LANECERT_SIMD) for the
-// 1-2 byte varints that dominate certificates; u64Scalar is the byte-serial
-// reference it falls back to.  The contract is total identity: same value,
-// same final position, same DecodeError, on EVERY input.  These tests run
-// both paths side by side; with LANECERT_SIMD off they degenerate to
-// scalar-vs-scalar and stay green.
+// Decoder::u64 takes a two-byte SWAR (SIMD-within-a-register) shortcut for
+// the 1-2 byte varints that dominate certificates; u64Scalar is the
+// byte-serial reference it falls back to.  The contract is total identity:
+// same value, same final position, same DecodeError, on EVERY input.  These
+// tests run both paths side by side.
 
 /// Decodes one varint with each path from the same start; asserts both
 /// agree on outcome, value, and consumed bytes.

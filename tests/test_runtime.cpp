@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -325,6 +329,71 @@ void expectSameResult(const SimulationResult& a, const SimulationResult& b) {
   EXPECT_EQ(a.rejecting, b.rejecting);
   EXPECT_EQ(a.maxLabelBits, b.maxLabelBits);
   EXPECT_EQ(a.totalLabelBits, b.totalLabelBits);
+}
+
+TEST(SweepDriver, DirtyRowsThrowingChecksAndThreadCounts) {
+  // sweepVerdicts is the one vertex-check loop behind the simulators and
+  // VerifySession.  A synthetic check that accepts, rejects or throws by
+  // vertex pins its contract directly: every listed row is written exactly
+  // once, a throw is a reject, unlisted rows keep their bytes, and no
+  // thread count changes a single byte.
+  constexpr std::size_t kN = 37;
+  constexpr std::uint8_t kUntouched = 7;
+  const auto expected = [](VertexId v) -> std::uint8_t {
+    return v % 5 == 3 ? 0 : (v % 3 != 0 ? 1 : 0);
+  };
+  const std::vector<VertexId> dirty = {2, 3, 10, 11, 18, 30, 36};
+  const std::vector<std::string> labels = {"ab", "", "cdef"};
+  const LabelStore store(labels);
+
+  std::vector<std::uint8_t> fullAtOne;
+  std::vector<std::uint8_t> dirtyAtOne;
+  for (const int threads : {1, 2, 4, 8}) {
+    ParallelExecutor exec(threads);
+    std::vector<std::atomic<int>> calls(kN);
+    const ShardedVertexCheck check = [&](std::size_t shard, VertexId v) {
+      EXPECT_LT(shard, static_cast<std::size_t>(exec.numThreads()));
+      calls[static_cast<std::size_t>(v)].fetch_add(1);
+      if (v % 5 == 3) throw std::runtime_error("malformed view");
+      return v % 3 != 0;
+    };
+
+    std::vector<std::uint8_t> full(kN, kUntouched);
+    sweepVerdicts(exec, std::nullopt, full, check);
+    for (std::size_t v = 0; v < kN; ++v) {
+      EXPECT_EQ(calls[v].exchange(0), 1) << "vertex " << v;
+      EXPECT_EQ(full[v], expected(static_cast<VertexId>(v))) << "vertex " << v;
+    }
+
+    std::vector<std::uint8_t> partial(kN, kUntouched);
+    sweepVerdicts(exec, std::span<const VertexId>(dirty), partial, check);
+    for (std::size_t v = 0; v < kN; ++v) {
+      const bool listed = std::binary_search(dirty.begin(), dirty.end(),
+                                             static_cast<VertexId>(v));
+      EXPECT_EQ(calls[v].load(), listed ? 1 : 0) << "vertex " << v;
+      EXPECT_EQ(partial[v],
+                listed ? expected(static_cast<VertexId>(v)) : kUntouched)
+          << "vertex " << v;
+    }
+
+    if (threads == 1) {
+      fullAtOne = full;
+      dirtyAtOne = partial;
+    } else {
+      EXPECT_EQ(full, fullAtOne) << "threads=" << threads;
+      EXPECT_EQ(partial, dirtyAtOne) << "threads=" << threads;
+    }
+  }
+
+  const SimulationResult r = resultFromVerdicts(fullAtOne, store);
+  std::vector<VertexId> rejecting;
+  for (VertexId v = 0; v < static_cast<VertexId>(kN); ++v) {
+    if (expected(v) == 0) rejecting.push_back(v);
+  }
+  EXPECT_FALSE(r.allAccept);
+  EXPECT_EQ(r.rejecting, rejecting);
+  EXPECT_EQ(r.maxLabelBits, store.maxLabelBits());
+  EXPECT_EQ(r.totalLabelBits, store.totalLabelBits());
 }
 
 TEST(ParallelSweep, CoreSchemeIdenticalAcrossThreadCounts) {
