@@ -20,7 +20,7 @@
 #include "graph/generators.hpp"
 #include "mso/properties.hpp"
 #include "pls/pointer.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 #include "serve/service.hpp"
 
 namespace {
@@ -226,8 +226,8 @@ void BM_Reverify(benchmark::State& state) {
     batch.push_back(EdgeLabelEdit{
         e, proved.labels[static_cast<std::size_t>(e)]});
   }
-  // Untimed warm batch: moves the touched labels into store-owned epoch
-  // slots (the one-time byte copy), so the timed loop measures the steady
+  // Untimed warm batch: the first sweep and the first rewrite of each
+  // touched label happen here, so the timed loop measures the steady
   // state — in-place rewrites + dirty-row re-verification.
   (void)session.reverifyEdits(batch, 1);
   for (auto _ : state) {

@@ -206,7 +206,7 @@ struct PathThroughView {
 
 /// Verifier-side zero-copy decode of an EdgeLabel: `through` payloads alias
 /// `bytes`, which must stay alive while the view is used (the simulators'
-/// label store guarantees that for the duration of a vertex check).  The
+/// label vectors guarantee that for the duration of a vertex check).  The
 /// through array AND the decoded certificate's entire chain (every nested
 /// SummaryRec vector and state string) live in the caller's bump arena — a
 /// per-thread scratch arena makes repeated decodes allocation-free in

@@ -13,17 +13,16 @@ VerifySession::VerifySession(Graph g, IdAssignment ids,
                              CoreVerifierParams params)
     : g_(std::move(g)),
       ids_(std::move(ids)),
-      seedLabels_(std::move(labels)),
-      store_(seedLabels_),
+      labels_(std::move(labels)),
       engine_(std::move(prop), params) {
-  if (seedLabels_.size() != static_cast<std::size_t>(g_.numEdges())) {
+  if (labels_.size() != static_cast<std::size_t>(g_.numEdges())) {
     throw std::invalid_argument("VerifySession: one label per edge required");
   }
 }
 
 void VerifySession::ensureIndex(ParallelExecutor& exec) {
   if (indexBuilt_) return;
-  index_ = buildIncidentEdgeIndex(g_, store_, exec);
+  index_ = buildIncidentEdgeIndex(g_, labels_, exec);
   indexBuilt_ = true;
 }
 
@@ -44,7 +43,7 @@ SimulationResult VerifySession::verifyAll(ParallelExecutor& exec) {
   verdicts_.assign(static_cast<std::size_t>(g_.numVertices()), 0);
   sweep(std::nullopt, exec);
   swept_ = true;
-  return resultFromVerdicts(verdicts_, store_);
+  return resultFromVerdicts(verdicts_, labels_);
 }
 
 SimulationResult VerifySession::verifyAll(int numThreads) {
@@ -54,10 +53,35 @@ SimulationResult VerifySession::verifyAll(int numThreads) {
 
 std::vector<VertexId> VerifySession::applyEdits(
     std::span<const EdgeLabelEdit> edits) {
-  std::vector<VertexId> dirty = store_.applyEdits(g_, edits);
-  // Rows must track the store for every FUTURE sweep; before the first
-  // sweep there is no index yet — it is built from the current views then.
-  if (indexBuilt_) refreshIncidentEdgeRows(index_, g_, store_, dirty);
+  // Validate BEFORE mutating: the only failure mode is an out-of-range
+  // edge id, so checking up front makes the whole batch all-or-nothing (a
+  // throw never leaves labels half-edited with stale index rows).
+  for (const EdgeLabelEdit& edit : edits) {
+    if (edit.edge < 0 ||
+        static_cast<std::size_t>(edit.edge) >= labels_.size()) {
+      throw std::out_of_range(
+          "VerifySession::applyEdits: edge id out of range");
+    }
+  }
+  // assign() writes in place whenever the capacity fits.  When it does not,
+  // only label e's bytes move, and e's view sits only in the rows of e's
+  // endpoints — exactly the dirty rows refreshed below.
+  std::vector<VertexId> dirty;
+  dirty.reserve(edits.size() * 2);
+  for (const EdgeLabelEdit& edit : edits) {
+    labels_[static_cast<std::size_t>(edit.edge)].assign(edit.bytes);
+    const Edge& e = g_.edge(edit.edge);
+    dirty.push_back(e.u);
+    dirty.push_back(e.v);
+  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  // An empty batch edits nothing — same labels, same version (the serving
+  // layer uses empty batches as "run the initial sweep" requests).
+  if (!edits.empty()) ++version_;
+  // Rows must track the labels for every FUTURE sweep; before the first
+  // sweep there is no index yet — it is built from the current labels then.
+  if (indexBuilt_) refreshIncidentEdgeRows(index_, g_, labels_, dirty);
   // Bound the sweep cache: edits retire entry variants (superseded label
   // bytes) that identity-keyed memoization would otherwise retain for the
   // session's whole lifetime.  The cap is generous — several times the
@@ -67,29 +91,6 @@ std::vector<VertexId> VerifySession::applyEdits(
                         static_cast<std::size_t>(g_.numEdges())) +
                    1024;
   if (engine_.sweepCacheSize() > cap) engine_.clearSweepCache();
-  // Fold epoch garbage: every size-changing rewrite appends a fresh slot,
-  // so a sustained edit stream grows the store even though only one slot
-  // per label is ever live.  Compact once garbage clearly dominates (the
-  // +64 slack keeps short-lived sessions compaction-free); moved labels'
-  // endpoint rows are refreshed so the CSR index never aliases freed
-  // bytes.  Content is unchanged — verdicts and the store version are
-  // unaffected.
-  if (store_.epochSlots() > 2 * store_.ownedLabels() + 64) {
-    const std::vector<std::size_t> moved = store_.compactEpochs();
-    if (!moved.empty() && indexBuilt_) {
-      std::vector<VertexId> touched;
-      touched.reserve(moved.size() * 2);
-      for (const std::size_t e : moved) {
-        const Edge& edge = g_.edge(static_cast<EdgeId>(e));
-        touched.push_back(edge.u);
-        touched.push_back(edge.v);
-      }
-      std::sort(touched.begin(), touched.end());
-      touched.erase(std::unique(touched.begin(), touched.end()),
-                    touched.end());
-      refreshIncidentEdgeRows(index_, g_, store_, touched);
-    }
-  }
   return dirty;
 }
 
@@ -124,7 +125,7 @@ SimulationResult VerifySession::reverify(
   // rows; verdicts of clean vertices carry over untouched (their views are
   // byte-identical, so a fresh check would reproduce them — locality).
   sweep(rows, exec);
-  return resultFromVerdicts(verdicts_, store_);
+  return resultFromVerdicts(verdicts_, labels_);
 }
 
 SimulationResult VerifySession::reverifyEdits(

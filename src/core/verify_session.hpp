@@ -9,8 +9,9 @@
 // throws that locality away (full sweep per query); VerifySession keeps the
 // sweep state alive between queries instead:
 //
-//  * the versioned LabelStore + CSR vertex index (runtime layer), edited in
-//    place between sweeps — applyEdits returns exactly the dirty rows;
+//  * the session's one copy of the label bytes plus the CSR vertex index
+//    over it (runtime/label_index.hpp) — applyEdits rewrites the edited
+//    labels in place and refreshes exactly the dirty rows;
 //  * the per-vertex verdict vector, carried across sweeps so a re-verify
 //    only recomputes dirty rows and still reports the WHOLE graph's
 //    rejecting set;
@@ -41,7 +42,7 @@
 #include "core/verifier.hpp"
 #include "graph/graph.hpp"
 #include "pls/scheme.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert {
 
@@ -57,10 +58,14 @@ class VerifySession {
   SimulationResult verifyAll(ParallelExecutor& exec);
   SimulationResult verifyAll(int numThreads = 1);
 
-  /// Applies the edit batch to the owned store (bumping its version) and
-  /// refreshes the dirty CSR rows; returns the dirty vertex set, ascending.
-  /// Does NOT re-verify — pass the result to reverify(), or use
-  /// reverifyEdits() to do both.
+  /// Applies the edit batch to the owned labels (in order; later edits to
+  /// the same edge win), bumps the version once (an empty batch is a no-op
+  /// and bumps nothing), refreshes the dirty CSR rows and returns the dirty
+  /// vertex set: the endpoints of every edited edge, ascending and unique.
+  /// Throws std::out_of_range for an edge id that is not a label index —
+  /// checked up front, so a throwing batch applies NOTHING.  Does NOT
+  /// re-verify — pass the result to reverify(), or use reverifyEdits() to
+  /// do both.
   std::vector<VertexId> applyEdits(std::span<const EdgeLabelEdit> edits);
 
   /// Re-runs the verifier on `dirtyVertices` only (sharded over `exec`) and
@@ -80,15 +85,16 @@ class VerifySession {
   SimulationResult reverifyEdits(std::span<const EdgeLabelEdit> edits,
                                  int numThreads = 1);
 
-  /// Store version: 0 until the first edit, bumped once per applyEdits.
-  [[nodiscard]] std::uint64_t storeVersion() const { return store_.version(); }
+  /// Label version: 0 until the first edit, bumped once per non-empty
+  /// applyEdits batch.
+  [[nodiscard]] std::uint64_t storeVersion() const { return version_; }
   /// True once verifyAll has completed (reverify is allowed).
   [[nodiscard]] bool swept() const { return swept_; }
   [[nodiscard]] const Graph& graph() const { return g_; }
   [[nodiscard]] const IdAssignment& ids() const { return ids_; }
   /// Current bytes of edge `e`'s label (valid until the next applyEdits).
   [[nodiscard]] std::string_view label(EdgeId e) const {
-    return store_.view(static_cast<std::size_t>(e));
+    return labels_[static_cast<std::size_t>(e)];
   }
   /// Per-vertex verdicts of the last sweep (1 = accept), indexed by vertex.
   [[nodiscard]] std::span<const std::uint8_t> verdicts() const {
@@ -103,11 +109,10 @@ class VerifySession {
   [[nodiscard]] SweepCacheStats cacheStats() const {
     return engine_.cacheStats();
   }
-  /// Epoch slots held by the owned store.  Bounded
-  /// under a sustained edit stream: applyEdits folds garbage slots via
-  /// LabelStore::compactEpochs once they dominate the live set — the soak
-  /// bench charts this to prove memory does not creep.
-  [[nodiscard]] std::size_t epochSlots() const { return store_.epochSlots(); }
+  /// Always 0: edits rewrite the session's labels in place, so there are no
+  /// epoch buffers left to count.  Kept only because the benchmark program
+  /// still reports it as runtime.epoch_slots.
+  [[nodiscard]] std::size_t epochSlots() const { return 0; }
 
  private:
   void ensureIndex(ParallelExecutor& exec);
@@ -118,10 +123,10 @@ class VerifySession {
 
   Graph g_;
   IdAssignment ids_;
-  /// Seed label bytes; the store aliases them until an edit repoints a
-  /// label into store-owned epoch storage.
-  std::vector<std::string> seedLabels_;
-  LabelStore store_;
+  /// The only copy of the label bytes; index_ rows alias it.  Never
+  /// resized, so an edit moves at most the edited label's own bytes.
+  std::vector<std::string> labels_;
+  std::uint64_t version_ = 0;
   VertexLabelIndex index_;
   bool indexBuilt_ = false;
   CoreVerifierEngine engine_;

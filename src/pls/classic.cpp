@@ -15,9 +15,8 @@ std::vector<std::string> proveBipartite(const Graph& g) {
   }
   std::vector<std::string> labels(static_cast<std::size_t>(g.numVertices()));
   for (VertexId v = 0; v < g.numVertices(); ++v) {
-    labels[static_cast<std::size_t>(v)] =
-        (*coloring)[static_cast<std::size_t>(v)] == 0 ? "\0" : "\1";
-    labels[static_cast<std::size_t>(v)].resize(1);
+    labels[static_cast<std::size_t>(v)] = std::string(
+        1, (*coloring)[static_cast<std::size_t>(v)] == 0 ? '\0' : '\1');
   }
   return labels;
 }

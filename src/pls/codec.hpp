@@ -70,7 +70,7 @@ class Encoder {
 /// The std::string constructor takes ownership of a copy, so temporaries
 /// are safe to decode.  The std::string_view constructor BORROWS: zero-copy,
 /// but the caller must keep the underlying bytes alive for the decoder's
-/// lifetime (the simulators' label store guarantees exactly that).
+/// lifetime (the simulators' label vectors guarantee exactly that).
 class Decoder {
  public:
   explicit Decoder(std::string data) : owned_(std::move(data)), data_(owned_) {}

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "runtime/executor.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert {
 
@@ -29,10 +29,12 @@ void sweepVerdicts(ParallelExecutor& exec,
 }
 
 SimulationResult resultFromVerdicts(std::span<const std::uint8_t> verdicts,
-                                    const LabelStore& store) {
+                                    std::span<const std::string> labels) {
   SimulationResult r;
-  r.maxLabelBits = store.maxLabelBits();
-  r.totalLabelBits = store.totalLabelBits();
+  for (const std::string& l : labels) {
+    r.maxLabelBits = std::max(r.maxLabelBits, l.size() * 8);
+    r.totalLabelBits += l.size() * 8;
+  }
   for (std::size_t vi = 0; vi < verdicts.size(); ++vi) {
     if (verdicts[vi] == 0) r.rejecting.push_back(static_cast<VertexId>(vi));
   }
@@ -47,8 +49,7 @@ SimulationResult simulateEdgeScheme(const Graph& g, const IdAssignment& ids,
   if (labels.size() != static_cast<std::size_t>(g.numEdges())) {
     throw std::invalid_argument("simulateEdgeScheme: one label per edge required");
   }
-  const LabelStore store(labels);
-  const VertexLabelIndex index = buildIncidentEdgeIndex(g, store, exec);
+  const VertexLabelIndex index = buildIncidentEdgeIndex(g, labels, exec);
   std::vector<std::uint8_t> verdicts(static_cast<std::size_t>(g.numVertices()));
   sweepVerdicts(exec, std::nullopt, verdicts, [&](std::size_t, VertexId v) {
     EdgeView view;
@@ -56,7 +57,7 @@ SimulationResult simulateEdgeScheme(const Graph& g, const IdAssignment& ids,
     view.incidentLabels = index.row(v);
     return verify(view);
   });
-  return resultFromVerdicts(verdicts, store);
+  return resultFromVerdicts(verdicts, labels);
 }
 
 SimulationResult simulateEdgeScheme(const Graph& g, const IdAssignment& ids,
@@ -74,17 +75,16 @@ SimulationResult simulateVertexScheme(const Graph& g, const IdAssignment& ids,
   if (labels.size() != static_cast<std::size_t>(g.numVertices())) {
     throw std::invalid_argument("simulateVertexScheme: one label per vertex required");
   }
-  const LabelStore store(labels);
-  const VertexLabelIndex index = buildNeighborIndex(g, store, exec);
+  const VertexLabelIndex index = buildNeighborIndex(g, labels, exec);
   std::vector<std::uint8_t> verdicts(static_cast<std::size_t>(g.numVertices()));
   sweepVerdicts(exec, std::nullopt, verdicts, [&](std::size_t, VertexId v) {
     VertexView view;
     view.selfId = ids.id(v);
-    view.selfLabel = store.view(static_cast<std::size_t>(v));
+    view.selfLabel = labels[static_cast<std::size_t>(v)];
     view.neighborLabels = index.row(v);
     return verify(view);
   });
-  return resultFromVerdicts(verdicts, store);
+  return resultFromVerdicts(verdicts, labels);
 }
 
 SimulationResult simulateVertexScheme(const Graph& g, const IdAssignment& ids,

@@ -25,17 +25,16 @@
 
 namespace lanecert {
 
-class LabelStore;
 class ParallelExecutor;
 
 /// What a vertex sees in an EDGE-labeling scheme: its own identifier and
 /// the labels on its incident edges (in unspecified order = multiset; the
 /// simulator presents them sorted to forbid order-based information).
 ///
-/// Views are ZERO-COPY: the label views borrow the simulator's backing
-/// label store (or a caller-owned buffer) and are only valid during the
-/// verifier call.  A verifier that needs label bytes beyond its own
-/// invocation must copy them explicitly.
+/// Views are ZERO-COPY: the label views borrow the caller's label vector
+/// (or a session-owned one) and are only valid during the verifier call.
+/// A verifier that needs label bytes beyond its own invocation must copy
+/// them explicitly.
 struct EdgeView {
   std::uint64_t selfId = 0;
   std::span<const std::string_view> incidentLabels;
@@ -117,10 +116,11 @@ void sweepVerdicts(ParallelExecutor& exec,
                    const ShardedVertexCheck& check);
 
 /// The SimulationResult of a verdict vector (1 = accept, indexed by
-/// vertex) over the labels in `store`: rejecting vertices ascending, bit
-/// stats from the store.
+/// vertex) over `labels`: rejecting vertices ascending, bit stats from one
+/// size scan of the labels.
 [[nodiscard]] SimulationResult resultFromVerdicts(
-    std::span<const std::uint8_t> verdicts, const LabelStore& store);
+    std::span<const std::uint8_t> verdicts,
+    std::span<const std::string> labels);
 
 /// Kinds of adversarial label corruption used by soundness tests.
 enum class Mutation {

@@ -25,11 +25,11 @@
 #include "graph/graph.hpp"
 #include "interval/interval.hpp"
 #include "mso/property.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert::serve {
 
-/// Per-job fault-tolerance knobs, shared by every request kind.
+/// Per-job options, shared by every request kind.
 struct JobOptions {
   /// Latest time the job may still be DISPATCHED.  Checked when the
   /// scheduler hands the job to a worker (and per batch in session
@@ -41,12 +41,6 @@ struct JobOptions {
   /// coalescing: sharing one computation between requests with different
   /// deadlines would let one caller's deadline fail another's future.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Total attempts for TransientError failures (session drivers only —
-  /// prove/verify jobs are pure and cheap to resubmit from the client).
-  /// 1 = no retry.
-  int maxAttempts = 1;
-  /// Sleep before the first retry; doubles per subsequent attempt.
-  std::chrono::milliseconds retryBackoff{1};
 
   [[nodiscard]] bool expired() const {
     return deadline && std::chrono::steady_clock::now() > *deadline;
@@ -80,8 +74,7 @@ struct VerifyJob {
   CoreVerifierParams params{};
   /// Version of the label payload's CONTENT.  Participates in the cache
   /// key alongside the payload identity: a caller that rewrites a payload
-  /// buffer in place (the versioned-LabelStore world makes that a
-  /// legitimate move) bumps the version so mutation invalidates stale
+  /// buffer in place bumps the version so mutation invalidates stale
   /// verify hits instead of serving them.  Callers that never mutate can
   /// leave it 0 — identity alone then pins the bytes as before.
   std::uint64_t labelsVersion = 0;

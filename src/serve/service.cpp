@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "core/verifier.hpp"
@@ -340,10 +339,6 @@ SweepCacheStats LaneCertService::sessionCacheStats(
   return findSession(session)->session->cacheStats();
 }
 
-std::size_t LaneCertService::sessionEpochSlots(std::uint64_t session) const {
-  return findSession(session)->session->epochSlots();
-}
-
 void LaneCertService::closeVerifySession(std::uint64_t session) {
   std::lock_guard<std::mutex> lock(sessionsMu_);
   sessions_.erase(session);  // drivers hold shared_ptrs; state stays valid
@@ -406,35 +401,17 @@ void LaneCertService::runSessionDriver(
     bool success = false;
     std::exception_ptr error;
     SimulationResult result;
-    // Bounded retry for TRANSIENT failures only.  Safe to re-run: an edit
-    // batch is a list of absolute label rewrites, so re-applying it after a
-    // partial attempt converges to the same store state, and the session's
-    // dirty tracking re-checks the same rows.  Permanent errors (decode
-    // failures, bad arguments) fail the batch on the first attempt.
-    const int attempts = std::max(1, batch.options.maxAttempts);
-    std::chrono::milliseconds backoff = batch.options.retryBackoff;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      if (batch.options.expired()) {
-        bump(&ServiceStats::deadlineExpiredJobs);
-        error = std::make_exception_ptr(DeadlineExceededError{});
-        break;
-      }
-      if (attempt > 0) {
-        bump(&ServiceStats::transientRetries);
-        std::this_thread::sleep_for(backoff);
-        backoff *= 2;
-      }
+    if (batch.options.expired()) {
+      bump(&ServiceStats::deadlineExpiredJobs);
+      error = std::make_exception_ptr(DeadlineExceededError{});
+    } else {
       try {
         FaultInjector::fire(FaultSite::kSweep);
         ParallelExecutor exec(pool_);
         result = entry->session->reverifyEdits(batch.edits, exec);
         success = true;
-        break;
-      } catch (const TransientError&) {
-        error = std::current_exception();  // retried until attempts run out
       } catch (...) {
         error = std::current_exception();
-        break;
       }
     }
     {

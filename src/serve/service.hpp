@@ -34,7 +34,7 @@
 //
 // Verification sessions (incremental re-verification): openVerifySession
 // turns a VerifyJob into a persistent VerifySession — the labels are copied
-// into a session-owned versioned LabelStore, and subsequent ReverifyJobs
+// into the session's own label vector, and subsequent ReverifyJobs
 // apply edit batches and re-check only the dirty vertices, with verdicts
 // byte-identical to a fresh full sweep over the current labels.  Batches on
 // ONE session run strictly in submission order: the registry runs at most
@@ -52,12 +52,11 @@
 // Fault tolerance (see serve/errors.hpp for the taxonomy): per-job
 // deadlines fail un-dispatched jobs with DeadlineExceededError; admission
 // control (ServiceOptions::maxQueueDepth) turns submit* calls away with a
-// synchronous RejectedError + retry-after hint; session drivers retry
-// TransientError batch failures up to JobOptions::maxAttempts with doubling
-// backoff (edit batches are absolute label rewrites, so re-running one is
-// idempotent).  The invariant all of it preserves: every future the service
-// ever RETURNED resolves — with a value or a typed error — even under
-// injected faults (serve/fault.hpp) at every stage boundary.
+// synchronous RejectedError + retry-after hint; a session batch that fails
+// fails its own future only, and the session serves the next batch.  The
+// invariant all of it preserves: every future the service ever RETURNED
+// resolves — with a value or an error — even under injected faults
+// (serve/fault.hpp) at every stage boundary.
 
 #include <cstddef>
 #include <cstdint>
@@ -130,9 +129,6 @@ struct ServiceStats {
   /// Jobs/batches whose deadline passed before dispatch
   /// (DeadlineExceededError; the work never ran).
   std::uint64_t deadlineExpiredJobs = 0;
-  /// TransientError retries performed by session drivers (attempts beyond
-  /// each batch's first).
-  std::uint64_t transientRetries = 0;
   std::uint64_t sessionsOpened = 0;
   std::uint64_t reverifyBatchesCompleted = 0;
   /// Sweep-entry-cache counters summed over the OPEN verification sessions
@@ -175,7 +171,7 @@ class LaneCertService {
   std::shared_future<SimulationResult> submitVerify(VerifyJob job);
 
   /// Opens a persistent verification session over the job's configuration;
-  /// the label payload is COPIED into the session's own versioned store, so
+  /// the label payload is COPIED into the session's own label vector, so
   /// the caller's buffer is never touched by edits.  Cheap — no sweep runs
   /// until the first ReverifyJob.  Throws std::invalid_argument on a null
   /// payload or a label-count mismatch.
@@ -191,10 +187,6 @@ class LaneCertService {
   /// for an unknown/closed handle).  Snapshot of relaxed atomics: exact
   /// once the session is quiescent, approximate while a sweep runs.
   [[nodiscard]] SweepCacheStats sessionCacheStats(std::uint64_t session) const;
-  /// Epoch slots held by ONE open session's label store (soak memory
-  /// metric; bounded by the session's auto-compaction).  Same handle and
-  /// quiescence caveats as sessionCacheStats.
-  [[nodiscard]] std::size_t sessionEpochSlots(std::uint64_t session) const;
   /// Closes a session: the handle becomes invalid for NEW submissions;
   /// batches already queued still complete.  Idempotent.
   void closeVerifySession(std::uint64_t session);

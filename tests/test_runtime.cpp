@@ -1,5 +1,5 @@
 // Tests for the runtime subsystem: the deterministic shard executor, the
-// zero-copy label store, degenerate simulator inputs (empty graphs, label
+// zero-copy label index, degenerate simulator inputs (empty graphs, label
 // count mismatches, self-loop certificates), and the central property of
 // the parallel sweep — numThreads never changes the SimulationResult.
 
@@ -32,7 +32,7 @@
 #include "runtime/arena.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/flat_map.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert {
 namespace {
@@ -229,17 +229,29 @@ TEST(Arena, GrowsBeyondFirstBlock) {
   EXPECT_GE(arena.capacityBytes(), 8000u);
 }
 
-// --- LabelStore ---
+// --- Label index ---
 
-TEST(LabelStore, ViewsMatchLabelsAndBitsAreTallied) {
+TEST(LabelIndex, ViewsMatchLabelsAndBitsAreTallied) {
+  const Graph g = pathGraph(5);  // edges 0:{0,1} 1:{1,2} 2:{2,3} 3:{3,4}
   const std::vector<std::string> labels = {"abcd", "", "x", std::string("\0z", 2)};
-  const LabelStore store(labels);
-  ASSERT_EQ(store.size(), labels.size());
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    EXPECT_EQ(store.view(i), std::string_view(labels[i]));
+  ParallelExecutor exec(2);
+  const VertexLabelIndex idx = buildIncidentEdgeIndex(g, labels, exec);
+  // Rows alias the caller's bytes: no label is copied.
+  for (VertexId v = 0; v < g.numVertices(); ++v) {
+    for (const std::string_view row : idx.row(v)) {
+      bool aliased = false;
+      for (const Arc& a : g.arcs(v)) {
+        const std::string& l = labels[static_cast<std::size_t>(a.edge)];
+        aliased = aliased || (row.data() == l.data() && row == l);
+      }
+      EXPECT_TRUE(aliased) << "vertex " << v;
+    }
   }
-  EXPECT_EQ(store.maxLabelBits(), 32u);
-  EXPECT_EQ(store.totalLabelBits(), (4u + 0u + 1u + 2u) * 8u);
+  const std::vector<std::uint8_t> verdicts(5, 1);
+  const SimulationResult r = resultFromVerdicts(verdicts, labels);
+  EXPECT_TRUE(r.allAccept);
+  EXPECT_EQ(r.maxLabelBits, 32u);
+  EXPECT_EQ(r.totalLabelBits, (4u + 0u + 1u + 2u) * 8u);
 }
 
 TEST(FlatMapTest, InsertFindOverwrite) {
@@ -344,7 +356,6 @@ TEST(SweepDriver, DirtyRowsThrowingChecksAndThreadCounts) {
   };
   const std::vector<VertexId> dirty = {2, 3, 10, 11, 18, 30, 36};
   const std::vector<std::string> labels = {"ab", "", "cdef"};
-  const LabelStore store(labels);
 
   std::vector<std::uint8_t> fullAtOne;
   std::vector<std::uint8_t> dirtyAtOne;
@@ -385,15 +396,15 @@ TEST(SweepDriver, DirtyRowsThrowingChecksAndThreadCounts) {
     }
   }
 
-  const SimulationResult r = resultFromVerdicts(fullAtOne, store);
+  const SimulationResult r = resultFromVerdicts(fullAtOne, labels);
   std::vector<VertexId> rejecting;
   for (VertexId v = 0; v < static_cast<VertexId>(kN); ++v) {
     if (expected(v) == 0) rejecting.push_back(v);
   }
   EXPECT_FALSE(r.allAccept);
   EXPECT_EQ(r.rejecting, rejecting);
-  EXPECT_EQ(r.maxLabelBits, store.maxLabelBits());
-  EXPECT_EQ(r.totalLabelBits, store.totalLabelBits());
+  EXPECT_EQ(r.maxLabelBits, 32u);
+  EXPECT_EQ(r.totalLabelBits, (2u + 0u + 4u) * 8u);
 }
 
 TEST(ParallelSweep, CoreSchemeIdenticalAcrossThreadCounts) {

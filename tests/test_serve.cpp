@@ -24,7 +24,7 @@
 #include "interval/interval.hpp"
 #include "mso/properties.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 #include "serve/batch_scheduler.hpp"
 #include "serve/service.hpp"
 
