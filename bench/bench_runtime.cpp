@@ -154,7 +154,6 @@ void BM_SessionCacheStats(benchmark::State& state) {
 
   serve::ServiceOptions opts;
   opts.numThreads = static_cast<int>(state.range(0));
-  opts.enableResultCache = false;  // measure sweeps, not replay
   serve::LaneCertService service(opts);
   const std::uint64_t sid = service.openVerifySession(serve::VerifyJob{
       inst.g, inst.ids,

@@ -108,12 +108,10 @@ int main() {
       static_cast<unsigned long long>(stats.planCacheHits));
 
   // ---- Act 2: fault tolerance + shutdown under load ----------------------
-  // A deliberately tiny service (one worker, shallow queue, no result
-  // cache — every request is real work) so the failure paths actually fire.
+  // A deliberately tiny service (one worker, shallow queue) so the failure
+  // paths actually fire.
   serve::ServiceOptions tight;
   tight.numThreads = 1;
-  tight.maxConcurrentJobs = 1;
-  tight.enableResultCache = false;
   tight.maxQueueDepth = 4;
   serve::LaneCertService loaded(tight);
   const Graph burstGraph = pathGraph(160);

@@ -40,20 +40,12 @@ void WorkerPool::post(std::function<void()> task) {
   wake_.notify_one();
 }
 
-void WorkerPool::postUrgent(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_front(std::move(task));
-  }
-  wake_.notify_one();
-}
-
-void WorkerPool::postUrgentCopies(std::size_t count,
-                                  const std::function<void()>& task) {
+void WorkerPool::postCopies(std::size_t count,
+                            const std::function<void()>& task) {
   if (count == 0) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < count; ++i) queue_.push_front(task);
+    for (std::size_t i = 0; i < count; ++i) queue_.push_back(task);
   }
   if (count == 1) {
     wake_.notify_one();
@@ -150,7 +142,7 @@ void ParallelExecutor::forShards(
   const std::size_t helpers =
       std::min(job->shards - 1,
                static_cast<std::size_t>(pool_->workerCount()));
-  pool_->postUrgentCopies(helpers, [job] { job->run(); });
+  pool_->postCopies(helpers, [job] { job->run(); });
   job->run();  // the calling thread claims shards too
   std::unique_lock<std::mutex> lock(job->mu);
   job->done.wait(lock, [&] { return job->shardsDone == job->shards; });

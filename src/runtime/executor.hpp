@@ -2,12 +2,12 @@
 // Deterministic parallel execution for the prover/verifier hot paths, built
 // in two layers:
 //
-//  * WorkerPool — a long-lived pool of parked worker threads draining a
-//    two-priority task queue.  It knows nothing about shards or
-//    determinism; it only runs closures.  One pool can be shared by many
-//    concurrent pipelines (the batched serving layer multiplexes every
-//    in-flight job's shard waves over a single pool, amortizing thread
-//    wake-ups across requests).
+//  * WorkerPool — a long-lived pool of parked worker threads draining one
+//    FIFO task queue.  It knows nothing about shards or determinism; it
+//    only runs closures.  One pool can be shared by many concurrent
+//    pipelines (the batched serving layer multiplexes every in-flight
+//    job's shard waves over a single pool, amortizing thread wake-ups
+//    across requests).
 //
 //  * ParallelExecutor — the deterministic fork-join primitive the rest of
 //    the codebase calls.  Work is split into CONTIGUOUS, ORDERED shards
@@ -43,13 +43,10 @@ namespace lanecert {
 /// Resolves a thread-count knob: values <= 0 mean "use the hardware".
 [[nodiscard]] int resolveThreadCount(int requested);
 
-/// Long-lived pool of parked worker threads over a two-priority FIFO queue.
-///
-/// `post` enqueues at the back; `postUrgent` enqueues at the FRONT, which
-/// forShards uses for shard helpers so in-flight fork-join waves complete
-/// before queued coarse-grained tasks (e.g. new serving jobs) are admitted.
-/// Tasks must not block waiting for OTHER queued tasks except through the
-/// forShards caller-participation protocol above.
+/// Long-lived pool of parked worker threads over one FIFO queue: tasks
+/// start in the order they were posted.  Tasks must not block waiting for
+/// OTHER queued tasks except through the forShards caller-participation
+/// protocol above, which never waits on a queued helper.
 ///
 /// The destructor stops the workers after their current task and DISCARDS
 /// anything still queued; owners that queue meaningful work (the batch
@@ -70,10 +67,9 @@ class WorkerPool {
   }
 
   void post(std::function<void()> task);
-  void postUrgent(std::function<void()> task);
-  /// Posts `count` copies of `task` at the front under ONE lock acquisition
-  /// and ONE wake broadcast (the fork-join fast path).
-  void postUrgentCopies(std::size_t count, const std::function<void()>& task);
+  /// Posts `count` copies of `task` under ONE lock acquisition and ONE wake
+  /// broadcast (the fork-join fast path).
+  void postCopies(std::size_t count, const std::function<void()>& task);
 
  private:
   void workerLoop();

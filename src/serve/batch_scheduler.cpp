@@ -1,42 +1,28 @@
 #include "serve/batch_scheduler.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <utility>
 
 namespace lanecert::serve {
 
-BatchScheduler::BatchScheduler(WorkerPool& pool, int maxConcurrent)
-    : pool_(pool),
-      maxConcurrent_(maxConcurrent > 0 ? maxConcurrent
-                                       : std::max(1, pool.workerCount())) {}
+BatchScheduler::BatchScheduler(WorkerPool& pool)
+    : pool_(pool), maxInFlight_(std::max(1, pool.workerCount())) {}
 
 BatchScheduler::~BatchScheduler() { drain(); }
 
-void BatchScheduler::submit(std::size_t cost, std::function<void()> run,
+void BatchScheduler::submit(std::function<void()> run,
                             std::function<void()> cancel) {
   std::lock_guard<std::mutex> lock(mu_);
-  const Key key{cost, nextSeq_};
-  bySeq_.emplace(nextSeq_, key);
-  ++nextSeq_;
-  pending_.emplace(key, Entry{std::move(run), std::move(cancel)});
+  pending_.push_back(Entry{std::move(run), std::move(cancel)});
   dispatchLocked();
 }
 
 void BatchScheduler::dispatchLocked() {
-  while (inFlight_ < maxConcurrent_ && !pending_.empty()) {
-    auto chosen = pending_.begin();  // smallest cost, FIFO among equals
-    const auto oldest = pending_.find(bySeq_.begin()->second);
-    if (oldest->second.bypassed >= kMaxBypass) {
-      chosen = oldest;  // aged out: starvation bound beats cost order
-    } else if (chosen != oldest) {
-      ++oldest->second.bypassed;
-    }
-    bySeq_.erase(chosen->first.second);
-    auto node = pending_.extract(chosen);
+  while (inFlight_ < maxInFlight_ && !pending_.empty()) {
+    std::function<void()> run = std::move(pending_.front().run);
+    pending_.pop_front();
     ++inFlight_;
-    // Normal (back-of-queue) priority: shard tasks of already-running jobs
-    // jump ahead via postUrgent, new drivers wait their turn.
-    pool_.post([this, run = std::move(node.mapped().run)] {
+    pool_.post([this, run = std::move(run)] {
       run();
       onJobFinished();
     });
@@ -61,13 +47,10 @@ std::size_t BatchScheduler::pendingCount() {
 }
 
 std::size_t BatchScheduler::cancelPending() {
-  std::vector<Entry> cancelled;
+  std::deque<Entry> cancelled;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    cancelled.reserve(pending_.size());
-    for (auto& [key, entry] : pending_) cancelled.push_back(std::move(entry));
-    pending_.clear();
-    bySeq_.clear();
+    cancelled.swap(pending_);
     if (inFlight_ == 0) idle_.notify_all();
   }
   // Outside the lock: cancel callbacks touch service state (promises,

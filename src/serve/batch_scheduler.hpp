@@ -2,35 +2,18 @@
 // Job admission for the serving pipeline.
 //
 // The scheduler sits between submit() and the shared WorkerPool: pending
-// jobs wait in a smallest-estimated-cost-first queue (FIFO among equals),
-// and at most `maxConcurrent` drivers run on the pool at once.  Two rules
-// make small jobs immune to convoy effects behind large ones:
-//
-//  * admission order — a cheap job submitted after an expensive one
-//    overtakes it while both are still pending;
-//  * wave priority — in-flight jobs' shard tasks enter the pool queue at
-//    the FRONT (ParallelExecutor::forShards posts urgent), so started waves
-//    finish before the pool picks up the next queued driver.
-//
-// Pure smallest-first starves: under a steady stream of small jobs a large
-// one could wait forever (every newcomer overtakes it).  An aging credit
-// bounds that — each dispatch that bypasses the OLDEST pending job bumps
-// that job's credit, and once the credit reaches kMaxBypass the oldest job
-// is dispatched next regardless of cost.  Any job therefore waits at most
-// (kMaxBypass + 1) dispatches once it becomes the oldest, and queue
-// positions only ever shrink, so every job eventually runs.
+// jobs wait in one FIFO queue, and at most pool.workerCount() drivers (at
+// least 1) run on the pool at once.  Jobs start in submission order.
 //
 // Every submitted job is eventually resolved exactly once: `run` on a pool
 // thread, or `cancel` inline from cancelPending() for jobs that never
 // started.  drain() blocks until the scheduler is idle.
 
 #include <cstddef>
-#include <cstdint>
 #include <condition_variable>
+#include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
-#include <utility>
 
 #include "runtime/executor.hpp"
 
@@ -38,8 +21,7 @@ namespace lanecert::serve {
 
 class BatchScheduler {
  public:
-  /// `maxConcurrent <= 0` resolves to pool.workerCount() (never below 1).
-  BatchScheduler(WorkerPool& pool, int maxConcurrent);
+  explicit BatchScheduler(WorkerPool& pool);
   /// Drains; the pool must still be alive (the service owns both and
   /// declares the scheduler after the pool).
   ~BatchScheduler();
@@ -51,8 +33,7 @@ class BatchScheduler {
   /// (wrap the real work and route errors into the job's promise);
   /// `cancel` is invoked instead — inline — if the job is discarded by
   /// cancelPending() before it started.
-  void submit(std::size_t cost, std::function<void()> run,
-              std::function<void()> cancel);
+  void submit(std::function<void()> run, std::function<void()> cancel);
 
   /// Blocks until no job is pending or in flight.
   void drain();
@@ -62,36 +43,26 @@ class BatchScheduler {
   /// cancelled.
   std::size_t cancelPending();
 
-  [[nodiscard]] int maxConcurrent() const { return maxConcurrent_; }
-
   /// Jobs admitted but not yet started (the backlog admission control in
   /// LaneCertService bounds).  Running jobs do not count.
   [[nodiscard]] std::size_t pendingCount();
-
-  /// Dispatches that may bypass the oldest pending job before it is forced
-  /// to the front of the queue.
-  static constexpr std::size_t kMaxBypass = 4;
 
  private:
   struct Entry {
     std::function<void()> run;
     std::function<void()> cancel;
-    std::size_t bypassed = 0;  ///< aging credit while this job is oldest
   };
-  using Key = std::pair<std::size_t, std::uint64_t>;  ///< (cost, seq)
 
   /// Starts pending jobs while slots are free.  Requires mu_ held.
   void dispatchLocked();
   void onJobFinished();
 
   WorkerPool& pool_;
-  const int maxConcurrent_;
+  const int maxInFlight_;
 
   std::mutex mu_;
   std::condition_variable idle_;
-  std::map<Key, Entry> pending_;
-  std::map<std::uint64_t, Key> bySeq_;  ///< submission order -> queue key
-  std::uint64_t nextSeq_ = 0;
+  std::deque<Entry> pending_;
   int inFlight_ = 0;
 };
 

@@ -36,29 +36,6 @@ void encodeRep(Encoder& enc, const IntervalRepresentation* rep) {
 
 }  // namespace
 
-std::size_t estimatedCost(const ProveJob& job) {
-  // Certificates and chains grow with the completion size; edges dominate.
-  return static_cast<std::size_t>(job.graph.numVertices()) +
-         4 * static_cast<std::size_t>(job.graph.numEdges());
-}
-
-std::size_t estimatedCost(const VerifyJob& job) {
-  std::size_t bytes = 0;
-  if (job.labels) {
-    for (const std::string& l : *job.labels) bytes += l.size();
-  }
-  return static_cast<std::size_t>(job.graph.numVertices()) + bytes / 16;
-}
-
-std::size_t estimatedCost(const ReverifyJob& job) {
-  // Two dirty endpoints per edited edge, plus decode volume on the same
-  // bytes/16 scale as full verification — only the ORDER matters, and this
-  // ranks a 1%-dirty batch far below the full sweep it replaces.
-  std::size_t bytes = 0;
-  for (const EdgeLabelEdit& e : job.edits) bytes += e.bytes.size();
-  return 2 * job.edits.size() + bytes / 16;
-}
-
 std::string planKey(const Graph& g, const IntervalRepresentation* rep) {
   Encoder enc;
   enc.bytes("plan");
@@ -94,18 +71,6 @@ std::string verifyJobKey(const VerifyJob& job) {
   // in it.  A store-backed payload edited in place resubmits with a bumped
   // version and misses the stale entry instead of replaying its verdict.
   enc.u64(job.labelsVersion);
-  return enc.take();
-}
-
-std::string reverifyJobKey(const ReverifyJob& job) {
-  Encoder enc;
-  enc.bytes("reverify");
-  enc.u64(job.session);
-  enc.u64(job.edits.size());
-  for (const EdgeLabelEdit& e : job.edits) {
-    enc.i64(e.edge);
-    enc.bytes(e.bytes);
-  }
   return enc.take();
 }
 

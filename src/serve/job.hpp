@@ -13,7 +13,8 @@
 // equal keys imply byte-identical results.  `planKey` covers only what the
 // property-independent prover head depends on (graph topology + supplied
 // representation), which is why one cached ProvePlan serves every
-// (property, ids) pair over the same graph.
+// (property, ids) pair over the same graph.  Reverify batches have no key:
+// each one advances its session's state, so every submitted batch runs.
 
 #include <chrono>
 #include <cstdint>
@@ -86,25 +87,12 @@ struct VerifyJob {
 /// LaneCertService::openVerifySession; edits are applied in order.  An
 /// empty batch runs (or returns) the session's full sweep, so it doubles
 /// as the initial-verification request.  Batches on one session execute in
-/// submission order regardless of scheduler policy (the service runs one
-/// driver per session at a time).
+/// submission order (the service runs one driver per session at a time).
 struct ReverifyJob {
   std::uint64_t session = 0;
   std::vector<EdgeLabelEdit> edits;
   JobOptions options;
 };
-
-/// Scheduling weight: rough single-thread work estimate used by the batch
-/// scheduler to run small jobs ahead of large ones.  Only the ORDER matters,
-/// so coarse proxies suffice (topology size for proving, total label bytes
-/// for verification — chain validation cost tracks label volume).
-[[nodiscard]] std::size_t estimatedCost(const ProveJob& job);
-[[nodiscard]] std::size_t estimatedCost(const VerifyJob& job);
-/// Reverify cost tracks the edit batch (dirty rows re-checked + new label
-/// bytes decoded), not the session's full graph — that is the point.  The
-/// service substitutes the payload's full-sweep cost for a session's FIRST
-/// batch, which runs the initial whole-graph sweep whatever its edit list.
-[[nodiscard]] std::size_t estimatedCost(const ReverifyJob& job);
 
 /// Exact serialization of everything a ProvePlan depends on: vertex count,
 /// edge list (insertion order — plans are order-sensitive only through the
@@ -124,11 +112,5 @@ struct ReverifyJob {
 /// wrong answer.
 [[nodiscard]] std::string proveJobKey(const ProveJob& job);
 [[nodiscard]] std::string verifyJobKey(const VerifyJob& job);
-/// Identity of a reverify request: session handle + exact edit bytes.
-/// Reverify results are NEVER result-cached (each batch advances session
-/// state), but duplicate submissions of the same batch at the same queue
-/// position — front-end retries — coalesce onto one pending computation
-/// through this key.
-[[nodiscard]] std::string reverifyJobKey(const ReverifyJob& job);
 
 }  // namespace lanecert::serve

@@ -11,6 +11,17 @@
 
 namespace lanecert::serve {
 
+namespace {
+
+// Cache capacities, in entries.  Each plan-cache entry holds a whole prover
+// head; each result-cache entry a full result (prove) or verdict set
+// (verify).  perfbench's wire-serve workload sizes its working set against
+// these values.
+constexpr std::size_t kMaxCachedPlans = 16;
+constexpr std::size_t kMaxCachedResults = 64;
+
+}  // namespace
+
 LaneCertService::LaneCertService(ServiceOptions options)
     : options_(options),
       pool_(std::max(1, resolveThreadCount(options.numThreads))),
@@ -18,7 +29,7 @@ LaneCertService::LaneCertService(ServiceOptions options)
                      ? nullptr
                      : std::make_unique<snapshot::SnapshotStore>(
                            options.snapshotDir)),
-      sched_(pool_, options.maxConcurrentJobs) {}
+      sched_(pool_) {}
 
 LaneCertService::~LaneCertService() = default;  // sched_ drains first
 
@@ -103,10 +114,7 @@ void LaneCertService::publishPlan(
     const auto [it, inserted] = plans_.try_emplace(key, plan);
     if (inserted) {
       planOrder_.push_back(key);
-      // Capacity clamps to >= 1 so eviction can never remove the entry
-      // just inserted.
-      const std::size_t cap = std::max<std::size_t>(1, options_.maxCachedPlans);
-      while (planOrder_.size() > cap) {
+      while (planOrder_.size() > kMaxCachedPlans) {
         plans_.erase(planOrder_.front());
         planOrder_.pop_front();
       }
@@ -224,7 +232,7 @@ void LaneCertService::finishCacheEntry(ResultCache<T>& cache,
     return;
   }
   cache.completed.push_back(key);
-  if (cache.completed.size() > options_.maxCachedResults) {
+  if (cache.completed.size() > kMaxCachedResults) {
     cache.entries.erase(cache.completed.front());
     cache.completed.pop_front();
   }
@@ -246,10 +254,8 @@ std::shared_future<T> LaneCertService::submitImpl(
       return it->second.future;
     }
   }
-  const std::size_t cost = estimatedCost(*job);
   auto keyPtr = std::make_shared<std::string>(std::move(key));
   sched_.submit(
-      cost,
       /*run=*/
       [this, &cache, keyPtr, job = std::move(job), prom, run] {
         bool success = false;
@@ -280,9 +286,7 @@ std::shared_future<CoreProveResult> LaneCertService::submitProve(ProveJob job) {
   admitOrReject();
   // Deadline-carrying jobs never share results: one caller's deadline must
   // not fail a future another caller coalesced onto.
-  std::string key = options_.enableResultCache && !job.options.deadline
-                        ? proveJobKey(job)
-                        : std::string{};
+  std::string key = job.options.deadline ? std::string{} : proveJobKey(job);
   auto jobPtr = std::make_shared<const ProveJob>(std::move(job));
   return submitImpl<CoreProveResult>(
       proveCache_, std::move(key), /*pin=*/nullptr, std::move(jobPtr),
@@ -299,7 +303,6 @@ std::uint64_t LaneCertService::openVerifySession(VerifyJob job) {
   }
   FaultInjector::fire(FaultSite::kDecode);
   auto entry = std::make_shared<VerifySessionEntry>();
-  entry->fullSweepCost = estimatedCost(job);
   // The session copies the payload into its own store (the VerifySession
   // constructor takes the vector by value), so session edits never touch
   // the caller's buffer — payload-identity keys of plain verify jobs stay
@@ -348,39 +351,18 @@ std::shared_future<SimulationResult> LaneCertService::submitReverify(
     ReverifyJob job) {
   admitOrReject();
   const std::shared_ptr<VerifySessionEntry> entry = findSession(job.session);
-  std::string key = options_.enableResultCache && !job.options.deadline
-                        ? reverifyJobKey(job)
-                        : std::string{};
-  std::lock_guard<std::mutex> lock(entry->mu);
-  // Until the session has COMPLETED a full sweep (not merely had one
-  // queued — a cancelled or failed first batch leaves it unswept), any
-  // batch runs the initial whole-graph sweep regardless of its edit list,
-  // and must be costed like one; afterwards a batch costs its dirty set.
-  const std::size_t cost =
-      entry->sweptMirror ? estimatedCost(job) : entry->fullSweepCost;
-  // Tail coalescing: a duplicate of the batch at the queue tail (front-end
-  // retry) shares the pending computation instead of applying the edits
-  // twice.  Earlier positions never coalesce — each batch advances session
-  // state, so only "same edits at the same state" is the same request.
-  if (!key.empty() && !entry->queue.empty() &&
-      entry->queue.back().key == key) {
-    bump(&ServiceStats::resultCacheHits);
-    return entry->queue.back().future;
-  }
   auto prom = std::make_shared<std::promise<SimulationResult>>();
   std::shared_future<SimulationResult> fut = prom->get_future().share();
+  std::lock_guard<std::mutex> lock(entry->mu);
   entry->queue.push_back(VerifySessionEntry::PendingBatch{
-      std::move(job.edits), std::move(key), job.options, std::move(prom),
-      fut});
+      std::move(job.edits), job.options, std::move(prom)});
   if (!entry->running) {
-    // One driver per session at a time keeps batches FIFO whatever the
-    // scheduler's cost order does to OTHER jobs, and makes the "small
-    // reverify waits on large reverify of the same session" case a queue
-    // wait instead of a scheduler-slot deadlock.
+    // One driver per session at a time keeps the session's batches in
+    // submission order and makes "batch waits on an earlier batch of the
+    // same session" a queue wait instead of a scheduler-slot deadlock.
     entry->running = true;
-    sched_.submit(
-        cost, [this, entry] { runSessionDriver(entry); },
-        [this, entry] { cancelSessionQueue(entry); });
+    sched_.submit([this, entry] { runSessionDriver(entry); },
+                  [this, entry] { cancelSessionQueue(entry); });
   }
   return fut;
 }
@@ -419,11 +401,12 @@ void LaneCertService::runSessionDriver(
       // observed its future sees the matching version.
       std::lock_guard<std::mutex> lock(entry->mu);
       entry->versionMirror = entry->session->storeVersion();
-      entry->sweptMirror = entry->session->swept();
     }
     if (success) {
-      batch.promise->set_value(std::move(result));
+      // Counted BEFORE resolving, as prove and verify jobs are, so stats()
+      // read right after the future is ready already includes this batch.
       bump(&ServiceStats::reverifyBatchesCompleted);
+      batch.promise->set_value(std::move(result));
     } else {
       batch.promise->set_exception(error);
     }
@@ -449,9 +432,7 @@ void LaneCertService::cancelSessionQueue(
 std::shared_future<SimulationResult> LaneCertService::submitVerify(
     VerifyJob job) {
   admitOrReject();
-  std::string key = options_.enableResultCache && !job.options.deadline
-                        ? verifyJobKey(job)
-                        : std::string{};
+  std::string key = job.options.deadline ? std::string{} : verifyJobKey(job);
   auto jobPtr = std::make_shared<const VerifyJob>(std::move(job));
   // The label payload is identity-keyed, so the cache entry must keep it
   // alive for as long as the key exists.

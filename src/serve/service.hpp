@@ -3,11 +3,11 @@
 //
 // One service owns one persistent WorkerPool.  Clients submit any number of
 // concurrent ProveJob / VerifyJob requests, each fully self-contained; the
-// batch scheduler admits them smallest-first onto the pool, where every
-// job's shard waves (hom-state levels, record encoding, label assembly,
-// verification sweeps) run through a borrowed ParallelExecutor over the
-// SAME pool — thread wake-ups are amortized across requests instead of
-// paying a pool spin-up per call.
+// batch scheduler starts them in submission order, at most one per pool
+// worker at a time, and every job's shard waves (hom-state levels, record
+// encoding, label assembly, verification sweeps) run through a borrowed
+// ParallelExecutor over the SAME pool — thread wake-ups are amortized
+// across requests instead of paying a pool spin-up per call.
 //
 // Determinism: a job's result is BIT-IDENTICAL to the standalone
 // proveCore / simulateEdgeScheme path for every pool size, submission
@@ -38,11 +38,9 @@
 // apply edit batches and re-check only the dirty vertices, with verdicts
 // byte-identical to a fresh full sweep over the current labels.  Batches on
 // ONE session run strictly in submission order: the registry runs at most
-// one scheduler-admitted driver per session at a time (so the smallest-
-// first scheduler can never reorder a session's state mutations), while
-// different sessions' drivers interleave freely with all other jobs.
-// Duplicate submissions of the batch at the queue tail (front-end retries)
-// coalesce onto one pending computation via reverifyJobKey.
+// one scheduler-admitted driver per session at a time, while different
+// sessions' drivers interleave freely with all other jobs.  Every submitted
+// batch runs, identical ones included.
 //
 // Shutdown: the destructor DRAINS — every submitted job completes and every
 // future becomes ready.  cancelPending() instead discards jobs that have
@@ -88,11 +86,6 @@ struct ServiceOptions {
   /// concurrency (at least 1 — jobs run on pool threads, never on the
   /// submitter's).
   int numThreads = 0;
-  /// Max jobs in flight at once; <= 0 resolves to the pool size.
-  int maxConcurrentJobs = 0;
-  bool enableResultCache = true;
-  std::size_t maxCachedPlans = 16;
-  std::size_t maxCachedResults = 64;
   /// Admission control: when > 0 and the scheduler backlog (admitted, not
   /// yet started jobs) has reached this depth, submit* throws RejectedError
   /// synchronously instead of queueing — with a retry-after hint scaled by
@@ -213,24 +206,14 @@ class LaneCertService {
   struct VerifySessionEntry {
     struct PendingBatch {
       std::vector<EdgeLabelEdit> edits;
-      std::string key;  ///< reverifyJobKey, empty when caching is off
       JobOptions options;
       std::shared_ptr<std::promise<SimulationResult>> promise;
-      std::shared_future<SimulationResult> future;
     };
     std::mutex mu;
     std::unique_ptr<VerifySession> session;
     std::deque<PendingBatch> queue;
-    bool running = false;           ///< a driver is admitted or active
-    bool sweptMirror = false;       ///< session completed a full sweep
+    bool running = false;  ///< a driver is admitted or active
     std::uint64_t versionMirror = 0;  ///< store version, readable under mu
-    /// Scheduling weight used while the session has not yet COMPLETED a
-    /// full sweep: such batches run the initial whole-graph sweep whatever
-    /// their edit lists say — costing them like the edits alone would
-    /// admit a whole-graph sweep as the cheapest job in the system.
-    /// Computed at open time from the payload, mirroring
-    /// estimatedCost(VerifyJob).
-    std::size_t fullSweepCost = 0;
   };
 
   template <typename T>

@@ -132,13 +132,16 @@ TEST(ServeDeadline, ExpiredReverifyBatchFailsAndSessionSurvives) {
 
 TEST(ServeBackpressure, SaturatedQueueRejectsWithRetryAfter) {
   const Fixture f = cycleFixture();
-  // One worker, one slot, depth 1: job A runs (held inside a fault hook),
-  // job B waits in the backlog, job C must be turned away synchronously.
+  // One worker, so one slot, depth 1: job A runs (held inside a fault
+  // hook), job B waits in the backlog, job C must be turned away
+  // synchronously.
   ServiceOptions opts;
   opts.numThreads = 1;
-  opts.maxConcurrentJobs = 1;
   opts.maxQueueDepth = 1;
-  opts.enableResultCache = false;  // B must queue, not coalesce with A
+  // B verifies a copy of A's payload: verify keys carry payload identity,
+  // so B queues instead of coalescing onto A.
+  const auto copy =
+      std::make_shared<const std::vector<std::string>>(*f.payload);
   std::mutex mu;
   std::condition_variable cv;
   bool started = false;
@@ -159,7 +162,7 @@ TEST(ServeBackpressure, SaturatedQueueRejectsWithRetryAfter) {
       cv.wait(lock, [&] { return started; });  // A is RUNNING, not pending
     }
     auto b = service.submitVerify(
-        VerifyJob{f.graph, f.ids, f.payload, f.property, {}});
+        VerifyJob{f.graph, f.ids, copy, f.property, {}});
     try {
       (void)service.submitVerify(
           VerifyJob{f.graph, f.ids, f.payload, f.property, {}});
@@ -245,7 +248,6 @@ TEST(ServeFault, ReverifyExhaustsRetriesThenSessionSurvives) {
   // The failed batch poisoned nothing: the session still serves.
   auto fut = service.submitReverify(ReverifyJob{sid, {}});
   EXPECT_TRUE(fut.get().allAccept);
-  service.drain();  // the counter is bumped after the promise resolves
   EXPECT_EQ(service.stats().reverifyBatchesCompleted, 1u);
 }
 

@@ -372,20 +372,24 @@ TEST(NetWire, SessionLifecycleOverTheWire) {
 TEST(NetWire, PerConnectionQuotaRejectsWithRetryAfter) {
   WireServerOptions opts = testOptions();
   opts.service.numThreads = 1;
-  opts.service.enableResultCache = false;
   opts.maxInflightPerConn = 1;
   WireServer server(opts);
   server.start();
 
-  // A prove big enough to hold the single worker for many milliseconds.
+  // Proves big enough to hold the single worker for many milliseconds;
+  // distinct graphs, so every admitted one is real work, not a cache hit.
   Rng rng(7);
-  const Graph g = randomBoundedPathwidth(512, 2, 0.4, rng).graph;
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 8; ++i) {
+    graphs.push_back(randomBoundedPathwidth(512, 2, 0.4, rng).graph);
+  }
 
   WireClient client;
   client.connect("127.0.0.1", server.port());
   std::vector<std::uint64_t> ids;
-  ids.push_back(client.sendProve(g, "connectivity"));
-  for (int i = 0; i < 7; ++i) ids.push_back(client.sendProve(g, "connectivity"));
+  for (const Graph& g : graphs) {
+    ids.push_back(client.sendProve(g, "connectivity"));
+  }
 
   int ok = 0, rejected = 0;
   std::uint64_t minRetry = ~std::uint64_t{0};
@@ -508,7 +512,6 @@ TEST(NetWire, StreamedCertificateEncodedOnceScatteredToSubscribers) {
 TEST(NetWire, DrainUnderLoadResolvesEveryRequestTerminally) {
   WireServerOptions opts = testOptions();
   opts.service.numThreads = 1;
-  opts.service.enableResultCache = false;
   WireServer server(opts);
   server.start();
 

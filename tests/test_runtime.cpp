@@ -86,10 +86,9 @@ TEST(Executor, ForShardsIsReusableAndPropagatesExceptions) {
 
 // --- WorkerPool / borrowed executors ---
 
-TEST(WorkerPool, RunsPostedTasksAndUrgentTasksJumpTheQueue) {
+TEST(WorkerPool, RunsPostedTasksInSubmissionOrder) {
   // One worker, gated by a start latch: everything posted before the gate
-  // opens executes in a deterministic order — urgent tasks from the front,
-  // normal tasks from the back.
+  // opens executes in the order it was posted, copies included.
   WorkerPool pool(1);
   std::mutex mu;
   std::condition_variable cv;
@@ -100,9 +99,9 @@ TEST(WorkerPool, RunsPostedTasksAndUrgentTasksJumpTheQueue) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return gateOpen; });
   });
-  pool.post([&] { order.push_back(1); });
+  pool.post([&] { order.push_back(0); });
+  pool.postCopies(2, [&] { order.push_back(1); });
   pool.post([&] { order.push_back(2); });
-  pool.postUrgent([&] { order.push_back(0); });
   pool.post([&] {
     std::lock_guard<std::mutex> lock(mu);
     done = true;
@@ -115,7 +114,7 @@ TEST(WorkerPool, RunsPostedTasksAndUrgentTasksJumpTheQueue) {
   cv.notify_all();
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return done; });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 1, 2}));
 }
 
 TEST(WorkerPool, BorrowedExecutorMatchesOwnedExecutor) {

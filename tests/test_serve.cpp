@@ -9,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <condition_variable>
-#include <functional>
 #include <future>
 #include <mutex>
 #include <string>
@@ -182,12 +180,11 @@ TEST(Serve, PlanCacheAmortizesAcrossPropertiesAndIds) {
   const auto idsA = IdAssignment::random(32, 1);
   const auto idsB = IdAssignment::random(32, 2);
 
-  // One job slot: jobs run serially, so after the first builds the plan
-  // the other three MUST hit (two concurrent jobs may legitimately race
-  // the cold cache and both build — the count would then be timing-
-  // dependent, which the TSan job's slowdown makes a real flake).
-  LaneCertService service(
-      ServiceOptions{.numThreads = 2, .maxConcurrentJobs = 1});
+  // One worker means one job slot: jobs run serially, so after the first
+  // builds the plan the other three MUST hit (two concurrent jobs may
+  // legitimately race the cold cache and both build — the count would then
+  // be timing-dependent, which the TSan job's slowdown makes a real flake).
+  LaneCertService service(ServiceOptions{.numThreads = 1});
   // Same graph, no supplied representation: four jobs, one plan.
   auto f1 = service.submitProve(ProveJob{bp.graph, idsA, makeConnectivity(), {}});
   auto f2 = service.submitProve(ProveJob{bp.graph, idsA, makeForest(), {}});
@@ -217,8 +214,7 @@ TEST(Serve, PlanCacheMissStormCoalescesToOneHeadBuild) {
   Rng rng(41);
   auto bp = randomBoundedPathwidth(40, 2, 0.4, rng);
   const int kJobs = 8;
-  LaneCertService service(
-      ServiceOptions{.numThreads = 4, .maxConcurrentJobs = 4});
+  LaneCertService service(ServiceOptions{.numThreads = 4});
   std::vector<std::shared_future<CoreProveResult>> futures;
   std::vector<IdAssignment> ids;
   std::vector<PropertyPtr> props;
@@ -284,8 +280,7 @@ TEST(Serve, CancelPendingFailsUnstartedFutures) {
   Rng rng(13);
   auto big = randomBoundedPathwidth(600, 2, 0.4, rng);
   const auto bigIds = IdAssignment::random(600, 21);
-  LaneCertService service(
-      ServiceOptions{.numThreads = 1, .maxConcurrentJobs = 1});
+  LaneCertService service(ServiceOptions{.numThreads = 1});
   std::vector<std::shared_future<CoreProveResult>> futures;
   // The big job occupies the single slot; the small ones queue behind it.
   futures.push_back(
@@ -464,7 +459,7 @@ TEST(Serve, ReverifyBatchesRunInSubmissionOrder) {
   }
 }
 
-TEST(Serve, ReverifyDuplicateTailSubmissionsCoalesce) {
+TEST(Serve, IdenticalConsecutiveReverifyBatchesBothRun) {
   Rng rng(13);
   auto bp = randomBoundedPathwidth(30, 2, 0.4, rng);
   const auto ids = IdAssignment::random(30, 8);
@@ -472,12 +467,11 @@ TEST(Serve, ReverifyDuplicateTailSubmissionsCoalesce) {
   const auto proved = proveCore(bp.graph, ids, *prop, nullptr, 1);
   ASSERT_TRUE(proved.propertyHolds);
 
-  // One slot, occupied by a prove job: both duplicate submissions land in
-  // the session queue before its driver can start, so the retry MUST
-  // coalesce instead of applying the edits twice.
+  // One worker, occupied by a prove job: both batches land in the session
+  // queue before its driver can start.  Each batch advances the session,
+  // so the second must run too, not share the first's result.
   auto big = randomBoundedPathwidth(400, 2, 0.4, rng);
-  LaneCertService service(
-      ServiceOptions{.numThreads = 1, .maxConcurrentJobs = 1});
+  LaneCertService service(ServiceOptions{.numThreads = 1});
   auto blocker = service.submitProve(
       ProveJob{big.graph, IdAssignment::random(400, 5), makeConnectivity(), {}});
   const std::uint64_t sid =
@@ -491,12 +485,11 @@ TEST(Serve, ReverifyDuplicateTailSubmissionsCoalesce) {
   auto first = service.submitReverify(batch);
   auto second = service.submitReverify(batch);
   (void)blocker.get();
-  service.drain();
   expectSameSim(first.get(), second.get());
+  EXPECT_EQ(service.sessionStoreVersion(sid), 2u);  // edits applied twice
   const auto stats = service.stats();
-  EXPECT_EQ(stats.reverifyBatchesCompleted, 1u);
-  EXPECT_GE(stats.resultCacheHits, 1u);
-  EXPECT_EQ(service.sessionStoreVersion(sid), 1u);  // edits applied ONCE
+  EXPECT_EQ(stats.reverifyBatchesCompleted, 2u);
+  EXPECT_EQ(stats.resultCacheHits, 0u);
 }
 
 TEST(Serve, VerifyResultCacheCarriesPayloadVersion) {
@@ -534,60 +527,57 @@ TEST(Serve, VerifyResultCacheCarriesPayloadVersion) {
   EXPECT_EQ(service.stats().resultCacheHits, 1u);
 }
 
-TEST(BatchScheduler, AgingPreventsLargeJobStarvation) {
-  // A large job against a self-replenishing stream of small ones: pure
-  // smallest-first would dispatch every small job first (each newcomer
-  // overtakes the large one); the aging credit must force the large job in
-  // after at most kMaxBypass bypasses.
+TEST(BatchScheduler, RunsJobsInSubmissionOrder) {
+  // One slot, held by a gated job while the queue is primed: the queued
+  // jobs start in the order they were submitted.
   WorkerPool pool(1);
-  BatchScheduler sched(pool, 1);
+  BatchScheduler sched(pool);
   std::mutex mu;
   std::condition_variable cv;
   bool gateOpen = false;
   std::vector<std::string> order;
-
-  // Occupy the single slot while the queue is primed.
-  sched.submit(
-      0,
-      [&] {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return gateOpen; });
-      },
-      {});
-  sched.submit(
-      1000,
-      [&] {
-        std::lock_guard<std::mutex> lock(mu);
-        order.push_back("big");
-      },
-      {});
-  constexpr int kSmallJobs = 12;
-  std::function<void(int)> submitSmall = [&](int i) {
-    sched.submit(
-        1,
-        [&, i] {
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            order.push_back("s" + std::to_string(i));
-          }
-          if (i + 1 < kSmallJobs) submitSmall(i + 1);  // keep the stream up
-        },
-        {});
+  const auto gate = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gateOpen; });
   };
-  submitSmall(0);
+  const auto record = [&](std::string name) {
+    return [&, name] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(name);
+    };
+  };
+  const auto openGate = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      gateOpen = true;
+    }
+    cv.notify_all();
+  };
+
+  sched.submit(gate, {});
+  for (const char* name : {"A", "B", "C"}) sched.submit(record(name), {});
+  openGate();
+  sched.drain();
+  EXPECT_EQ(order, (std::vector<std::string>{"A", "B", "C"}));
+
+  // cancelPending discards what has not started, calling each job's
+  // cancel callback exactly once and never its run.
   {
     std::lock_guard<std::mutex> lock(mu);
-    gateOpen = true;
+    gateOpen = false;
   }
-  cv.notify_all();
+  sched.submit(gate, {});
+  std::vector<int> cancels(3, 0);
+  for (int i = 0; i < 3; ++i) {
+    sched.submit(record("ran"), [&cancels, i] { ++cancels[i]; });
+  }
+  EXPECT_EQ(sched.pendingCount(), 3u);
+  EXPECT_EQ(sched.cancelPending(), 3u);
+  EXPECT_EQ(sched.pendingCount(), 0u);
+  EXPECT_EQ(cancels, (std::vector<int>{1, 1, 1}));
+  openGate();
   sched.drain();
-
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kSmallJobs) + 1);
-  const auto at = std::find(order.begin(), order.end(), "big");
-  ASSERT_NE(at, order.end());
-  // Exactly kMaxBypass smalls may run first; the stream never starves it.
-  EXPECT_LE(static_cast<std::size_t>(at - order.begin()),
-            BatchScheduler::kMaxBypass);
+  EXPECT_EQ(order.size(), 3u);
 }
 
 TEST(Serve, JobErrorsPropagateThroughFutures) {
